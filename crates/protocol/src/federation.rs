@@ -9,10 +9,10 @@
 //!
 //! * [`SecureAggregator`] — an **object-safe** trait capturing one
 //!   round: `open_round → submit* → prepare_next? → mark_dropped* →
-//!   finish_round`. Implemented by [`SyncFederation`] (the §4.1
-//!   synchronous protocol) and [`BufferedFederation`] (the §4.2
-//!   buffered-asynchronous variant), so callers pick a variant **by
-//!   value** (`Box<dyn SecureAggregator<F>>`), not by code path.
+//!   finish_round`. Implemented once, by [`LeafFederation`], over the
+//!   §4.1 synchronous ([`SyncFederation`]) and §4.2 buffered-async
+//!   ([`BufferedFederation`]) session pairs, so callers pick a variant
+//!   **by value** (`Box<dyn SecureAggregator<F>>`), not by code path.
 //! * [`FederationClient`] / [`FederationServer`] — persistent endpoints
 //!   that wrap the per-round sans-IO sessions and route interleaved
 //!   multi-round traffic by the round id every wire envelope now
@@ -57,20 +57,21 @@
 use crate::client::Client;
 use crate::config::LsaConfig;
 use crate::ratchet::{
-    ratchet_enabled, CohortFingerprint, PadTopology, RatchetAnnouncement, RatchetWindowCommit,
-    RATCHET_FROM_SERVER,
+    ratchet_enabled, CohortFingerprint, Commit, CommitTracker, PadTopology, RatchetBank,
 };
 use crate::session::{AsyncClientSession, AsyncServerSession, Outgoing, Recipient, Session};
 use crate::session::{ClientSession, ServerSession};
 use crate::telemetry::{RoundReport, TrafficMark};
 use crate::transport::Transport;
-use crate::wire::{Envelope, EnvelopeKind};
+use crate::wire::Envelope;
 use crate::ProtocolError;
 use lsa_field::Field;
 use lsa_quantize::{QuantizedStaleness, StalenessFn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use seam::{LeafClient, LeafServer};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::marker::PhantomData;
 
 /// Outcome of one federated round, uniform across variants.
 ///
@@ -97,7 +98,9 @@ pub struct RoundOutcome<F> {
 /// `open_round → submit* → [prepare_next] → [mark_dropped*] → finish_round`.
 /// Entropy is injected at construction only, so implementations coerce
 /// to `Box<dyn SecureAggregator<F>>` and a single [`Federation`] loop
-/// drives any variant.
+/// drives any variant. The stable-cohort ratchet knobs
+/// (`LSA_RATCHET`, `LSA_PAD_TOPOLOGY`, `LSA_COMMIT_WINDOW`,
+/// [`crate::ratchet`]) are likewise read once, when a leaf is built.
 pub trait SecureAggregator<F: Field> {
     /// The protocol configuration.
     fn config(&self) -> LsaConfig;
@@ -317,19 +320,10 @@ pub struct FederationClient<F> {
     replies: VecDeque<Outgoing<F>>,
     /// Rounds below this are retired; envelopes for them are stale.
     horizon: u64,
-    /// Retained ratchet base: the fully-exchanged client state of the
-    /// last full offline round and its cohort fingerprint
-    /// ([`crate::ratchet`]). Set after a full exchange completes,
-    /// cleared on churn, reassignment or mismatch.
-    ratchet: Option<(Client<F>, u64)>,
-    /// Pad topology for ratcheted rounds; a windowed commit carries the
-    /// server's choice and overwrites this, the per-round legacy commit
-    /// does not (both ends resolve the same knob).
-    topology: PadTopology,
-    /// Pre-committed window nonces, `round → nonce`
-    /// ([`crate::ratchet::RatchetWindowCommit`]): rounds here join via
-    /// [`Self::ratchet_join`] with zero wire traffic.
-    window: BTreeMap<u64, u64>,
+    /// The stable-cohort ratchet ([`crate::ratchet`]): the retained base
+    /// is the fully-exchanged client state of the last full offline
+    /// round.
+    bank: RatchetBank<Client<F>>,
 }
 
 impl<F: Field> FederationClient<F> {
@@ -391,16 +385,14 @@ impl<F: Field> FederationClient<F> {
             pending: BTreeMap::new(),
             replies: VecDeque::new(),
             horizon: 0,
-            ratchet: None,
-            topology: crate::ratchet::pad_topology(),
-            window: BTreeMap::new(),
+            bank: RatchetBank::new(),
         })
     }
 
     /// Override the pad topology used for ratcheted rounds (defaults to
     /// the `LSA_PAD_TOPOLOGY` environment knob at construction).
     pub fn set_pad_topology(&mut self, topology: PadTopology) {
-        self.topology = topology;
+        self.bank.set_topology(topology);
     }
 
     /// This client's user index (group-local in a grouped topology).
@@ -439,27 +431,15 @@ impl<F: Field> FederationClient<F> {
     /// [`ProtocolError::DuplicateMessage`] if already joined; replayed
     /// early envelopes surface their own errors.
     pub fn prepare(&mut self, round: u64) -> Result<(), ProtocolError> {
-        if round < self.horizon {
-            return Err(ProtocolError::StaleRound {
-                got: round,
-                current: self.horizon,
-            });
-        }
-        if self.sessions.contains_key(&round) {
-            return Err(ProtocolError::DuplicateMessage(self.id));
-        }
-        let mut session = ClientSession::for_round_in_group(
+        self.ensure_joinable(round)?;
+        let session = ClientSession::for_round_in_group(
             self.id,
             round,
             self.group,
             self.cfg,
             &mut self.entropy,
         )?;
-        for envelope in self.pending.remove(&round).unwrap_or_default() {
-            self.replies.extend(session.handle(envelope)?);
-        }
-        self.sessions.insert(round, session);
-        Ok(())
+        self.install(round, session)
     }
 
     /// Upload the quantized model for `round`.
@@ -488,58 +468,10 @@ impl<F: Field> FederationClient<F> {
         self.horizon = self.horizon.max(round);
     }
 
-    /// Drop the session (and any buffered envelopes) for one round
-    /// without moving the horizon — rollback of a half-built ratcheted
-    /// round before falling back to the full exchange.
-    pub(crate) fn discard_round(&mut self, round: u64) {
-        self.sessions.remove(&round);
-        self.pending.remove(&round);
-    }
-
-    /// Retain `round`'s fully-exchanged state as the ratchet base for
-    /// the cohort fingerprinted by `fingerprint` ([`crate::ratchet`]).
-    /// When the finished round was itself ratcheted its mask is
-    /// `m + u`, not valid base material, so the previous base is kept.
-    pub(crate) fn harvest_ratchet(&mut self, round: u64, fingerprint: u64, was_ratcheted: bool) {
-        if was_ratcheted {
-            return;
-        }
-        if let Some(session) = self.sessions.get(&round) {
-            self.ratchet = Some((session.client().clone(), fingerprint));
-        }
-    }
-
-    /// Forget the retained ratchet base (churn, reassignment, mismatch)
-    /// and every pre-committed window nonce — the nonces were bound to
-    /// the dead cohort and must never mask another one.
-    pub(crate) fn clear_ratchet(&mut self) {
-        self.ratchet = None;
-        self.window.clear();
-    }
-
-    /// Carry the retained base across a seat permutation: drop the
-    /// window (its rounds were committed under the old seating) and
-    /// advance the base's pad-derivation epoch — every cohort member
-    /// applies the same `seed`, so the permuted edges still cancel
-    /// ([`crate::ratchet::reseat_epoch`]).
-    pub(crate) fn reseat_ratchet(&mut self, seed: u64) {
-        self.window.clear();
-        if let Some((base, _)) = self.ratchet.as_mut() {
-            base.bump_pad_epoch(seed);
-        }
-    }
-
-    /// Join a round whose nonce was pre-committed in a window: derive
-    /// the round's session from the retained base, consuming the stored
-    /// nonce. Zero wire traffic — no ack is queued (the whole window
-    /// was acked when it was committed).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::StaleRound`] / [`ProtocolError::DuplicateMessage`]
-    /// as for [`Self::prepare`]; [`ProtocolError::RatchetMismatch`] when
-    /// no base is retained or `round` is not in the committed window.
-    pub(crate) fn ratchet_join(&mut self, round: u64) -> Result<(), ProtocolError> {
+    /// A session for `round` may be created: the round is neither
+    /// retired ([`ProtocolError::StaleRound`]) nor already joined
+    /// ([`ProtocolError::DuplicateMessage`]).
+    fn ensure_joinable(&self, round: u64) -> Result<(), ProtocolError> {
         if round < self.horizon {
             return Err(ProtocolError::StaleRound {
                 got: round,
@@ -549,111 +481,70 @@ impl<F: Field> FederationClient<F> {
         if self.sessions.contains_key(&round) {
             return Err(ProtocolError::DuplicateMessage(self.id));
         }
-        let Some((base, _)) = self.ratchet.as_ref() else {
-            return Err(ProtocolError::RatchetMismatch);
-        };
-        let nonce = self
-            .window
-            .remove(&round)
-            .ok_or(ProtocolError::RatchetMismatch)?;
-        let mut session = ClientSession::ratcheted_quiet(base, round, nonce, self.topology);
+        Ok(())
+    }
+
+    /// Make `session` the live session of `round`, replaying the
+    /// envelopes that arrived for it early.
+    fn install(&mut self, round: u64, mut session: ClientSession<F>) -> Result<(), ProtocolError> {
         for envelope in self.pending.remove(&round).unwrap_or_default() {
             self.replies.extend(session.handle(envelope)?);
         }
         self.sessions.insert(round, session);
         Ok(())
     }
+}
 
-    /// Corrupt the retained base's fingerprint — test hook for the
-    /// stale-fingerprint failure path.
-    #[doc(hidden)]
-    pub fn poison_ratchet(&mut self, fingerprint: u64) {
-        if let Some((_, fp)) = self.ratchet.as_mut() {
-            *fp = fingerprint;
+impl<F: Field> LeafClient<F> for FederationClient<F> {
+    type Base = Client<F>;
+
+    fn prepare_round(&mut self, round: u64) -> Result<(), ProtocolError> {
+        self.prepare(round)
+    }
+
+    fn upload_round(&mut self, round: u64, update: &[F]) -> Result<(), ProtocolError> {
+        self.upload(round, update)
+    }
+
+    fn retire(&mut self, round: u64) {
+        self.retire_below(round);
+    }
+
+    /// Envelopes for the aborted round surface as
+    /// [`ProtocolError::StaleRound`] from now on.
+    fn retire_aborted(&mut self, round: u64) {
+        self.retire_below(round);
+    }
+
+    fn forget_round(&mut self, round: u64) {
+        self.sessions.remove(&round);
+        self.pending.remove(&round);
+    }
+
+    fn harvest_ratchet(&mut self, round: u64, fingerprint: u64) {
+        if let Some(session) = self.sessions.get(&round) {
+            self.bank.retain(session.client().clone(), fingerprint);
         }
     }
 
-    /// A server ratchet commit: derive the round's mask from the
-    /// retained base under the committed nonce — no share traffic —
-    /// and return the fingerprint-agreement ack.
-    fn handle_ratchet_commit(
-        &mut self,
-        ann: &RatchetAnnouncement,
-    ) -> Result<Vec<Outgoing<F>>, ProtocolError> {
-        if ann.round < self.horizon {
-            // a commit replayed from a retired round
-            return Err(ProtocolError::StaleRound {
-                got: ann.round,
-                current: self.horizon,
-            });
-        }
-        if self.sessions.contains_key(&ann.round) {
-            return Err(ProtocolError::DuplicateMessage(self.id));
-        }
-        let Some((base, fingerprint)) = self.ratchet.as_ref() else {
-            return Err(ProtocolError::RatchetMismatch);
-        };
-        if ann.fingerprint != *fingerprint {
-            return Err(ProtocolError::RatchetMismatch);
-        }
-        let mut session =
-            ClientSession::ratcheted(base, ann.round, ann.nonce, ann.fingerprint, self.topology);
-        let mut out = Vec::new();
-        while let Some(outgoing) = session.poll_output() {
-            out.push(outgoing);
-        }
-        self.sessions.insert(ann.round, session);
-        Ok(out)
+    fn ratchet_join(&mut self, round: u64) -> Result<(), ProtocolError> {
+        self.ensure_joinable(round)?;
+        let (base, nonce, topology) = self.bank.join(round)?;
+        let session = ClientSession::ratcheted(base, round, nonce, topology);
+        self.install(round, session)
     }
 
-    /// A server *window* commit: derive the first round's mask from the
-    /// retained base, bank the remaining nonces for zero-traffic joins,
-    /// and return one fingerprint-agreement ack covering the whole
-    /// window.
-    fn handle_window_commit(
-        &mut self,
-        commit: &RatchetWindowCommit,
-    ) -> Result<Vec<Outgoing<F>>, ProtocolError> {
-        if commit.nonces.is_empty() {
-            return Err(ProtocolError::UnexpectedEnvelope {
-                kind: EnvelopeKind::RatchetWindowCommit,
-            });
+    /// Every cohort member applies the same `seed`, so the permuted
+    /// edges still cancel ([`crate::ratchet::reseat_epoch`]).
+    fn reseat_ratchet(&mut self, seed: u64) -> bool {
+        if let Some(base) = self.bank.reseat() {
+            base.bump_pad_epoch(seed);
         }
-        if commit.round < self.horizon {
-            return Err(ProtocolError::StaleRound {
-                got: commit.round,
-                current: self.horizon,
-            });
-        }
-        if self.sessions.contains_key(&commit.round) {
-            return Err(ProtocolError::DuplicateMessage(self.id));
-        }
-        let Some((base, fingerprint)) = self.ratchet.as_ref() else {
-            return Err(ProtocolError::RatchetMismatch);
-        };
-        if commit.fingerprint != *fingerprint {
-            return Err(ProtocolError::RatchetMismatch);
-        }
-        self.topology = commit.topology;
-        let session =
-            ClientSession::ratcheted_quiet(base, commit.round, commit.nonces[0], self.topology);
-        self.window.clear();
-        for (i, &nonce) in commit.nonces.iter().enumerate().skip(1) {
-            self.window.insert(commit.round + i as u64, nonce);
-        }
-        let ack = (
-            Recipient::Server,
-            Envelope::RatchetWindowCommit(RatchetWindowCommit {
-                from: self.id as u32,
-                group: self.group,
-                round: commit.round,
-                fingerprint: commit.fingerprint,
-                topology: commit.topology,
-                nonces: Vec::new(),
-            }),
-        );
-        self.sessions.insert(commit.round, session);
-        Ok(vec![ack])
+        true
+    }
+
+    fn bank(&mut self) -> &mut RatchetBank<Client<F>> {
+        &mut self.bank
     }
 }
 
@@ -671,24 +562,28 @@ impl<F: Field> Session<F> for FederationClient<F> {
                 expected: self.group,
             });
         }
-        // ratchet commits are round-*creating*, not round-routed: they
-        // are handled before session routing (acks are server-bound and
-        // never legitimately reach a client)
-        if let Envelope::RatchetAnnouncement(ann) = &envelope {
-            if ann.from != RATCHET_FROM_SERVER {
-                return Err(ProtocolError::UnexpectedEnvelope {
-                    kind: EnvelopeKind::RatchetAnnouncement,
-                });
-            }
-            return self.handle_ratchet_commit(ann);
-        }
-        if let Envelope::RatchetWindowCommit(commit) = &envelope {
-            if commit.from != RATCHET_FROM_SERVER {
-                return Err(ProtocolError::UnexpectedEnvelope {
-                    kind: EnvelopeKind::RatchetWindowCommit,
-                });
-            }
-            return self.handle_window_commit(commit);
+        // ratchet commits are round-*creating*, not round-routed: the
+        // round's session is derived from the retained base
+        if matches!(
+            envelope,
+            Envelope::RatchetAnnouncement(_) | Envelope::RatchetWindowCommit(_)
+        ) {
+            let commit = Commit::from_server(&envelope)?;
+            self.ensure_joinable(commit.round)?;
+            let sessions = &mut self.sessions;
+            let ack = self.bank.accept(
+                &commit,
+                self.id,
+                self.group,
+                |base, round, nonce, topology| {
+                    sessions.insert(
+                        round,
+                        ClientSession::ratcheted(base, round, nonce, topology),
+                    );
+                    Ok(())
+                },
+            )?;
+            return Ok(vec![ack]);
         }
         let round = envelope.round();
         let current = self.current_round();
@@ -732,15 +627,8 @@ pub struct FederationServer<F: Field> {
     group: usize,
     round: u64,
     session: Option<ServerSession<F>>,
-    /// Queued ratchet commits (the per-round session cannot carry them:
-    /// the commit happens *before* its round opens).
-    outbox: VecDeque<Outgoing<F>>,
-    /// In-flight ratchet commit:
-    /// `(round, nonce, fingerprint, acks, expected)`.
-    ratchet: Option<InFlightCommit>,
-    /// In-flight windowed ratchet commit:
-    /// `(first round, fingerprint, acks, expected)`.
-    window: Option<InFlightWindow>,
+    /// The stable-cohort ratchet handshake ([`crate::ratchet`]).
+    ratchet: CommitTracker<F>,
     /// Rejected-envelope strikes per claimed sender, reset at each
     /// `open_round` — the per-round ingress quota state.
     strikes: BTreeMap<usize, usize>,
@@ -762,14 +650,6 @@ pub struct FederationServer<F: Field> {
 /// strikes separates glitches from floods.
 pub const DEFAULT_INGRESS_QUOTA: usize = 8;
 
-/// A server's in-flight ratchet commit:
-/// `(round, nonce, fingerprint, acks, expected)`.
-type InFlightCommit = (u64, u64, u64, BTreeSet<usize>, BTreeSet<usize>);
-
-/// A server's in-flight windowed ratchet commit:
-/// `(first round, fingerprint, acks, expected)`.
-type InFlightWindow = (u64, u64, BTreeSet<usize>, BTreeSet<usize>);
-
 impl<F: Field> FederationServer<F> {
     /// Create the server; no round is open yet.
     pub fn new(cfg: LsaConfig) -> Self {
@@ -785,9 +665,7 @@ impl<F: Field> FederationServer<F> {
             group,
             round: 0,
             session: None,
-            outbox: VecDeque::new(),
-            ratchet: None,
-            window: None,
+            ratchet: CommitTracker::new(group),
             strikes: BTreeMap::new(),
             quota: DEFAULT_INGRESS_QUOTA,
             rejections: 0,
@@ -913,119 +791,6 @@ impl<F: Field> FederationServer<F> {
         Ok(aggregate)
     }
 
-    /// Commit the ratchet nonce for `round` and queue a
-    /// [`RatchetAnnouncement`] to every cohort member
-    /// ([`crate::ratchet`]).
-    pub(crate) fn commit_ratchet(
-        &mut self,
-        round: u64,
-        cohort: &BTreeSet<usize>,
-        nonce: u64,
-        fingerprint: u64,
-    ) {
-        self.ratchet = Some((round, nonce, fingerprint, BTreeSet::new(), cohort.clone()));
-        for &id in cohort {
-            self.outbox.push_back((
-                Recipient::Client(id),
-                Envelope::RatchetAnnouncement(RatchetAnnouncement {
-                    from: RATCHET_FROM_SERVER,
-                    group: self.group,
-                    round,
-                    nonce,
-                    fingerprint,
-                }),
-            ));
-        }
-    }
-
-    /// Consume the in-flight commit: `Ok` iff every expected cohort
-    /// member acked fingerprint agreement for `round`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::RatchetMismatch`] on a missing commit, a round
-    /// mismatch or an incomplete ack set.
-    pub(crate) fn ratchet_ready(&mut self, round: u64) -> Result<(), ProtocolError> {
-        match self.ratchet.take() {
-            Some((r, _, _, acks, expected)) if r == round && acks == expected => Ok(()),
-            _ => Err(ProtocolError::RatchetMismatch),
-        }
-    }
-
-    /// Forget any in-flight commit and its queued announcements.
-    pub(crate) fn clear_ratchet(&mut self) {
-        self.ratchet = None;
-        self.window = None;
-        self.outbox.clear();
-    }
-
-    /// Commit a *window* of ratchet nonces starting at `round` and
-    /// queue one [`RatchetWindowCommit`] to every cohort member: one
-    /// handshake covers `nonces.len()` rounds ([`crate::ratchet`]).
-    pub(crate) fn commit_ratchet_window(
-        &mut self,
-        round: u64,
-        cohort: &BTreeSet<usize>,
-        fingerprint: u64,
-        topology: PadTopology,
-        nonces: &[u64],
-    ) {
-        self.window = Some((round, fingerprint, BTreeSet::new(), cohort.clone()));
-        for &id in cohort {
-            self.outbox.push_back((
-                Recipient::Client(id),
-                Envelope::RatchetWindowCommit(RatchetWindowCommit {
-                    from: RATCHET_FROM_SERVER,
-                    group: self.group,
-                    round,
-                    fingerprint,
-                    topology,
-                    nonces: nonces.to_vec(),
-                }),
-            ));
-        }
-    }
-
-    /// Consume the in-flight window commit: `Ok` iff every expected
-    /// cohort member acked fingerprint agreement for the window opening
-    /// at `round`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::RatchetMismatch`] on a missing commit, a round
-    /// mismatch or an incomplete ack set.
-    pub(crate) fn ratchet_window_ready(&mut self, round: u64) -> Result<(), ProtocolError> {
-        match self.window.take() {
-            Some((r, _, acks, expected)) if r == round && acks == expected => Ok(()),
-            _ => Err(ProtocolError::RatchetMismatch),
-        }
-    }
-
-    /// A client's fingerprint-agreement ack for the in-flight window
-    /// commit.
-    fn handle_window_ack(&mut self, ack: &RatchetWindowCommit) -> Result<(), ProtocolError> {
-        let Some((round, fingerprint, acks, expected)) = self.window.as_mut() else {
-            return Err(ProtocolError::RatchetMismatch);
-        };
-        if ack.round != *round {
-            return Err(ProtocolError::StaleRound {
-                got: ack.round,
-                current: *round,
-            });
-        }
-        if ack.fingerprint != *fingerprint {
-            return Err(ProtocolError::RatchetMismatch);
-        }
-        let id = ack.from as usize;
-        if !expected.contains(&id) {
-            return Err(ProtocolError::UnknownUser(id));
-        }
-        if !acks.insert(id) {
-            return Err(ProtocolError::DuplicateMessage(id));
-        }
-        Ok(())
-    }
-
     /// Group check → ratchet-ack routing → session routing, without the
     /// ingress-quota accounting that [`Session::handle`] wraps around
     /// it.
@@ -1036,11 +801,11 @@ impl<F: Field> FederationServer<F> {
                 expected: self.group,
             });
         }
-        if let Envelope::RatchetAnnouncement(ann) = &envelope {
-            return self.handle_ratchet_ack(ann).map(|()| Vec::new());
-        }
-        if let Envelope::RatchetWindowCommit(ack) = &envelope {
-            return self.handle_window_ack(ack).map(|()| Vec::new());
+        if matches!(
+            envelope,
+            Envelope::RatchetAnnouncement(_) | Envelope::RatchetWindowCommit(_)
+        ) {
+            return self.ratchet.ack(&envelope).map(|()| Vec::new());
         }
         match self.session.as_mut() {
             Some(session) => session.handle(envelope),
@@ -1050,29 +815,41 @@ impl<F: Field> FederationServer<F> {
             }),
         }
     }
+}
 
-    /// A client's fingerprint-agreement ack for the in-flight commit.
-    fn handle_ratchet_ack(&mut self, ann: &RatchetAnnouncement) -> Result<(), ProtocolError> {
-        let Some((round, nonce, fingerprint, acks, expected)) = self.ratchet.as_mut() else {
-            return Err(ProtocolError::RatchetMismatch);
-        };
-        if ann.round != *round {
-            return Err(ProtocolError::StaleRound {
-                got: ann.round,
-                current: *round,
-            });
-        }
-        if ann.nonce != *nonce || ann.fingerprint != *fingerprint {
-            return Err(ProtocolError::RatchetMismatch);
-        }
-        let id = ann.from as usize;
-        if !expected.contains(&id) {
-            return Err(ProtocolError::UnknownUser(id));
-        }
-        if !acks.insert(id) {
-            return Err(ProtocolError::DuplicateMessage(id));
-        }
-        Ok(())
+impl<F: Field> LeafServer<F> for FederationServer<F> {
+    fn open(&mut self, round: u64) -> Result<(), ProtocolError> {
+        self.open_round(round)
+    }
+
+    fn close(&mut self) -> Result<(), ProtocolError> {
+        self.close_upload().map(|_| ())
+    }
+
+    fn recover_round(&mut self, round: u64) -> Result<RoundOutcome<F>, ProtocolError> {
+        let survivors = self
+            .session
+            .as_ref()
+            .map_or_else(Vec::new, |session| session.survivors().to_vec());
+        let aggregate = self.close_round()?;
+        Ok(RoundOutcome {
+            round,
+            aggregate,
+            total_weight: survivors.len() as u64,
+            contributors: survivors,
+        })
+    }
+
+    fn abort(&mut self) {
+        self.abort_round();
+    }
+
+    fn ingress(&self) -> (usize, usize) {
+        (self.rejections, self.quarantined)
+    }
+
+    fn tracker(&mut self) -> &mut CommitTracker<F> {
+        &mut self.ratchet
     }
 }
 
@@ -1113,8 +890,8 @@ impl<F: Field> Session<F> for FederationServer<F> {
     }
 
     fn poll_output(&mut self) -> Option<Outgoing<F>> {
-        self.outbox
-            .pop_front()
+        self.ratchet
+            .poll_output()
             .or_else(|| self.session.as_mut().and_then(ServerSession::poll_output))
     }
 }
@@ -1284,21 +1061,78 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Synchronous variant
+// The leaf driver
 // ---------------------------------------------------------------------
 
-/// The §4.1 synchronous protocol behind the [`SecureAggregator`] trait:
-/// per-round sessions with exact (unit-weight) aggregation, overlapped
-/// next-round mask sharing, and `O(d)` server memory.
+/// The per-variant seam under [`LeafFederation`]: one client and one
+/// server session type per protocol variant. The traits are public
+/// only in name — their module is crate-private, so no other variant
+/// can be plugged in.
+pub(crate) mod seam {
+    use super::{Field, ProtocolError, RoundOutcome, Session};
+    use crate::ratchet::{CommitTracker, RatchetBank};
+
+    /// A persistent client endpoint of one leaf.
+    pub trait LeafClient<F: Field>: Session<F> {
+        /// The retained ratchet base material.
+        type Base;
+        /// Run the full offline phase for `round`, queueing its shares.
+        fn prepare_round(&mut self, round: u64) -> Result<(), ProtocolError>;
+        /// Mask `update` for `round` and queue the upload.
+        fn upload_round(&mut self, round: u64, update: &[F]) -> Result<(), ProtocolError>;
+        /// Drop the state of every round below `round`.
+        fn retire(&mut self, round: u64);
+        /// As [`Self::retire`] after the round below `round` was
+        /// aborted.
+        fn retire_aborted(&mut self, round: u64);
+        /// Drop exactly `round`'s state: the rollback of a half-built
+        /// ratcheted round.
+        fn forget_round(&mut self, round: u64);
+        /// Retain finished, fully-exchanged `round` as the ratchet base
+        /// of the cohort fingerprinted by `fingerprint`.
+        fn harvest_ratchet(&mut self, round: u64, fingerprint: u64);
+        /// Derive `round` from the nonce a window commit banked, with
+        /// zero wire traffic.
+        fn ratchet_join(&mut self, round: u64) -> Result<(), ProtocolError>;
+        /// Carry the retained base across a seat permutation derived
+        /// from `seed`; `false` when this variant cannot, and the
+        /// ratchet must be cleared instead.
+        fn reseat_ratchet(&mut self, seed: u64) -> bool;
+        /// The retained base and banked window nonces.
+        fn bank(&mut self) -> &mut RatchetBank<Self::Base>;
+    }
+
+    /// The server endpoint of one leaf.
+    pub trait LeafServer<F: Field>: Session<F> {
+        /// Accept uploads for `round`, whose masks are in place.
+        fn open(&mut self, round: u64) -> Result<(), ProtocolError>;
+        /// Fix the contributors and queue the recovery announcements.
+        fn close(&mut self) -> Result<(), ProtocolError>;
+        /// Decode `round`'s aggregate from the collected shares.
+        fn recover_round(&mut self, round: u64) -> Result<RoundOutcome<F>, ProtocolError>;
+        /// Drop the state of an aborted round.
+        fn abort(&mut self);
+        /// Cumulative `(rejected, quarantined)` ingress counts.
+        fn ingress(&self) -> (usize, usize);
+        /// The ratchet commit in flight and its queued envelopes.
+        fn tracker(&mut self) -> &mut CommitTracker<F>;
+    }
+}
+
+/// One leaf of secure aggregation behind the [`SecureAggregator`]
+/// trait: `cfg.n()` persistent clients and one server of a protocol
+/// variant, over a transport, with overlapped next-round mask sharing
+/// and the stable-cohort ratchet ([`crate::ratchet`]).
+/// [`SyncFederation`] and [`BufferedFederation`] name its two variants.
 #[derive(Debug, Clone)]
-pub struct SyncFederation<F: Field, T> {
+pub struct LeafFederation<F, T, C, S> {
     cfg: LsaConfig,
     /// The namespaced leaf-group id every envelope is stamped with
     /// (0 for a standalone flat federation).
     group: usize,
     transport: T,
-    clients: Vec<FederationClient<F>>,
-    server: FederationServer<F>,
+    clients: Vec<C>,
+    server: S,
     next_round: u64,
     open: Option<OpenRound>,
     /// Rounds whose offline exchange already ran, with their cohorts.
@@ -1310,29 +1144,44 @@ pub struct SyncFederation<F: Field, T> {
     prepared_ratcheted: BTreeMap<u64, bool>,
     /// Driver-side nonce entropy for ratchet commits.
     entropy: StdRng,
+    /// Whether the stable-cohort ratchet runs (`LSA_RATCHET`, resolved
+    /// at construction).
+    ratchet: bool,
     /// Fingerprint of the cohort whose base masks the clients retain,
-    /// set after each successful round ([`crate::ratchet`]).
+    /// set after each successful round.
     ratchet_fp: Option<u64>,
     /// Pad topology ratcheted rounds derive pairwise pads over.
     topology: PadTopology,
     /// Nonce commit window `W`: rounds amortized per ratchet handshake
     /// (`1` = the per-round legacy flow).
     commit_window: usize,
-    /// Driver-side mirror of the pre-committed window, `round → nonce`
-    /// — membership decides whether the next round joins with zero
-    /// traffic or opens a fresh window.
-    window: BTreeMap<u64, u64>,
+    /// Rounds whose nonces the clients banked from the last window
+    /// commit: such a round joins with zero traffic.
+    window: BTreeSet<u64>,
     /// Transport counters snapshotted when the open round started (its
     /// traffic delta becomes the round's [`RoundReport`]). Traffic from
     /// an overlapped `prepare_next` is billed to the round it ran
     /// *during* — the paper's point is exactly that this cost hides
     /// inside the current round.
     mark: TrafficMark,
-    /// Server rejection/quarantine totals at the same snapshot.
-    mark_rejections: (usize, usize),
+    /// Server ingress counts at the same snapshot.
+    mark_ingress: (usize, usize),
     /// Telemetry of the most recent finished round.
     last_report: Option<RoundReport>,
+    field: PhantomData<fn() -> F>,
 }
+
+/// The §4.1 synchronous protocol behind the [`SecureAggregator`] trait:
+/// per-round sessions with exact (unit-weight) aggregation and `O(d)`
+/// server memory.
+pub type SyncFederation<F, T> = LeafFederation<F, T, FederationClient<F>, FederationServer<F>>;
+
+/// The §4.2 buffered-asynchronous protocol behind the
+/// [`SecureAggregator`] trait: persistent [`AsyncClientSession`]s whose
+/// round-stamped masks let the server recover a staleness-weighted
+/// aggregate from whatever the buffer holds when the round closes.
+pub type BufferedFederation<F, T> =
+    LeafFederation<F, T, AsyncClientSession<F>, AsyncServerSession<F>>;
 
 impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
     /// Create a federation of `cfg.n()` persistent clients over
@@ -1365,55 +1214,110 @@ impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
                 FederationClient::in_group(group, id, cfg, StdRng::seed_from_u64(master.gen()))
             })
             .collect::<Result<_, _>>()?;
-        // drawn after the per-client seeds so every pre-existing RNG
-        // stream is unchanged
-        let entropy = StdRng::seed_from_u64(master.gen());
-        Ok(Self {
+        let server = FederationServer::in_group(group, cfg);
+        Ok(Self::assemble(
             cfg,
             group,
             transport,
             clients,
-            server: FederationServer::in_group(group, cfg),
+            server,
+            &mut master,
+        ))
+    }
+}
+
+impl<F: Field, T: Transport<F>> BufferedFederation<F, T> {
+    /// Create a buffered federation with the given staleness weighting.
+    /// Updates submitted through the [`SecureAggregator`] interface are
+    /// always fresh (`τ = 0`), so any staleness function yields uniform
+    /// weights; the function matters when feeding the server stale
+    /// uploads directly.
+    ///
+    /// # Errors
+    ///
+    /// Propagates invalid configuration.
+    pub fn new(
+        cfg: LsaConfig,
+        staleness: QuantizedStaleness,
+        transport: T,
+        seed: u64,
+    ) -> Result<Self, ProtocolError> {
+        let mut master = StdRng::seed_from_u64(seed);
+        let clients = (0..cfg.n())
+            .map(|id| AsyncClientSession::from_rng(id, cfg, &mut master))
+            .collect::<Result<_, _>>()?;
+        let server =
+            AsyncServerSession::new(cfg, cfg.n(), staleness, StdRng::seed_from_u64(master.gen()))?;
+        Ok(Self::assemble(
+            cfg,
+            0,
+            transport,
+            clients,
+            server,
+            &mut master,
+        ))
+    }
+
+    /// As [`Self::new`] with unit weights (`s(τ) = 1`, `c_g = 1`) —
+    /// the drop-in replacement for the synchronous variant.
+    ///
+    /// # Errors
+    ///
+    /// Propagates invalid configuration.
+    pub fn unit_weight(cfg: LsaConfig, transport: T, seed: u64) -> Result<Self, ProtocolError> {
+        Self::new(
+            cfg,
+            QuantizedStaleness::new(StalenessFn::Constant, 1),
+            transport,
+            seed,
+        )
+    }
+}
+
+impl<F, T, C, S> LeafFederation<F, T, C, S>
+where
+    F: Field,
+    T: Transport<F>,
+    C: LeafClient<F>,
+    S: LeafServer<F>,
+{
+    fn assemble(
+        cfg: LsaConfig,
+        group: usize,
+        transport: T,
+        clients: Vec<C>,
+        server: S,
+        master: &mut StdRng,
+    ) -> Self {
+        Self {
+            cfg,
+            group,
+            transport,
+            clients,
+            server,
             next_round: 0,
             open: None,
             prepared: BTreeMap::new(),
             prepared_ratcheted: BTreeMap::new(),
-            entropy,
+            // drawn after every per-session seed so those streams are
+            // unchanged
+            entropy: StdRng::seed_from_u64(master.gen()),
+            ratchet: ratchet_enabled(),
             ratchet_fp: None,
             topology: crate::ratchet::pad_topology(),
             commit_window: crate::ratchet::commit_window(),
-            window: BTreeMap::new(),
+            window: BTreeSet::new(),
             mark: TrafficMark::default(),
-            mark_rejections: (0, 0),
+            mark_ingress: (0, 0),
             last_report: None,
-        })
+            field: PhantomData,
+        }
     }
 
     /// The namespaced leaf-group id this federation stamps its
     /// envelopes with (0 when flat).
     pub fn group(&self) -> usize {
         self.group
-    }
-
-    /// Snapshot the transport and server counters as the open round's
-    /// baseline.
-    fn mark_round_start(&mut self) {
-        self.mark = TrafficMark::of::<F, T>(&self.transport);
-        self.mark_rejections = (self.server.rejections(), self.server.quarantined());
-    }
-
-    /// Cut the finished round's [`RoundReport`] from the baseline.
-    fn cut_report(&mut self, open: &OpenRound) -> RoundReport {
-        let mut report = self.mark.cut::<F, T>(&self.transport, open.round);
-        report.events.dropouts = open.dropped.len();
-        // a windowed join is counted apart from handshake-bearing
-        // ratchets so bench JSON can tell amortized rounds from
-        // commit/ack ones
-        report.events.ratchets = usize::from(open.ratcheted && !open.windowed);
-        report.events.windowed_ratchets = usize::from(open.windowed);
-        report.events.rejections = self.server.rejections() - self.mark_rejections.0;
-        report.events.quarantined = self.server.quarantined() - self.mark_rejections.1;
-        report
     }
 
     /// The underlying transport (for byte/timing statistics).
@@ -1427,6 +1331,49 @@ impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
         &mut self.transport
     }
 
+    /// Corrupt client `id`'s retained base fingerprint — test hook for
+    /// the stale-fingerprint failure path.
+    #[doc(hidden)]
+    pub fn poison_ratchet(&mut self, id: usize, fingerprint: u64) {
+        self.clients[id].bank().poison(fingerprint);
+    }
+
+    fn fingerprint(&self, cohort: &BTreeSet<usize>) -> u64 {
+        let members: Vec<usize> = cohort.iter().copied().collect();
+        CohortFingerprint::of_flat(self.group, self.cfg, &members).raw()
+    }
+
+    /// Cut the finished round's [`RoundReport`] from the baseline.
+    fn cut_report(&mut self, open: &OpenRound) -> RoundReport {
+        let mut report = self.mark.cut::<F, T>(&self.transport, open.round);
+        report.events.dropouts = open.dropped.len();
+        // a windowed join is counted apart from handshake-bearing
+        // ratchets so bench JSON can tell amortized rounds from
+        // commit/ack ones
+        report.events.ratchets = usize::from(open.ratcheted && !open.windowed);
+        report.events.windowed_ratchets = usize::from(open.windowed);
+        let (rejections, quarantined) = self.server.ingress();
+        report.events.rejections = rejections - self.mark_ingress.0;
+        report.events.quarantined = quarantined - self.mark_ingress.1;
+        report
+    }
+
+    /// Put `round`'s masks in place among `cohort`: by the ratchet when
+    /// it can (`Some(windowed)`), else by the full offline exchange
+    /// (`None`).
+    fn mask_round(
+        &mut self,
+        round: u64,
+        cohort: &BTreeSet<usize>,
+        label: &'static str,
+    ) -> Result<Option<bool>, ProtocolError> {
+        let ratcheted = self.try_ratchet(round, cohort, label);
+        if ratcheted.is_none() {
+            self.exchange_masks(round, cohort, label)?;
+        }
+        Ok(ratcheted)
+    }
+
     /// Run the offline mask exchange for `round` among `cohort`.
     fn exchange_masks(
         &mut self,
@@ -1435,7 +1382,7 @@ impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
         label: &'static str,
     ) -> Result<(), ProtocolError> {
         for &id in cohort {
-            self.clients[id].prepare(round)?;
+            self.clients[id].prepare_round(round)?;
         }
         for &id in cohort {
             drain_to(&mut self.clients[id], &mut self.transport, cohort)?;
@@ -1464,11 +1411,10 @@ impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
         cohort: &BTreeSet<usize>,
         label: &'static str,
     ) -> Option<bool> {
-        if !ratchet_enabled() {
+        if !self.ratchet {
             return None;
         }
-        let members: Vec<usize> = cohort.iter().copied().collect();
-        let fp = CohortFingerprint::of_flat(self.group, self.cfg, &members).raw();
+        let fp = self.fingerprint(cohort);
         if self.ratchet_fp != Some(fp) {
             // churn mid-window: the remaining nonces were committed to
             // a cohort that no longer exists — purge them everywhere so
@@ -1476,38 +1422,29 @@ impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
             if !self.window.is_empty() {
                 self.window.clear();
                 for client in &mut self.clients {
-                    client.clear_ratchet();
+                    client.bank().clear();
                 }
             }
             return None;
         }
-        if self.window.contains_key(&round) {
-            match self.ratchet_join(round, cohort) {
-                Ok(()) => return Some(true),
-                Err(_) => {
-                    self.ratchet_rollback(round, cohort);
-                    return None;
-                }
-            }
-        }
-        match self.exchange_ratchet(round, cohort, fp, label) {
-            Ok(()) => Some(false),
+        let joined = if self.window.remove(&round) {
+            // every member derives the round locally: the whole window
+            // was committed and acked up front
+            cohort
+                .iter()
+                .try_for_each(|&id| self.clients[id].ratchet_join(round))
+                .map(|()| true)
+        } else {
+            self.exchange_ratchet(round, cohort, fp, label)
+                .map(|()| false)
+        };
+        match joined {
+            Ok(windowed) => Some(windowed),
             Err(_) => {
                 self.ratchet_rollback(round, cohort);
                 None
             }
         }
-    }
-
-    /// Join `round` from the pre-committed nonce window: every cohort
-    /// member derives the round's session driver-locally. Zero wire
-    /// traffic — the whole window was committed and acked up front.
-    fn ratchet_join(&mut self, round: u64, cohort: &BTreeSet<usize>) -> Result<(), ProtocolError> {
-        for &id in cohort {
-            self.clients[id].ratchet_join(round)?;
-        }
-        self.window.remove(&round);
-        Ok(())
     }
 
     /// The ratchet handshake: the server commits fresh nonces — one for
@@ -1523,21 +1460,18 @@ impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
         label: &'static str,
     ) -> Result<(), ProtocolError> {
         let w = self.commit_window.max(1);
-        if w == 1 {
-            let nonce = self.entropy.gen();
-            self.server
-                .commit_ratchet(round, cohort, nonce, fingerprint);
-        } else {
-            let nonces: Vec<u64> = (0..w).map(|_| self.entropy.gen()).collect();
-            self.server
-                .commit_ratchet_window(round, cohort, fingerprint, self.topology, &nonces);
-            self.window = nonces
-                .iter()
-                .enumerate()
-                .skip(1)
-                .map(|(i, &n)| (round + i as u64, n))
-                .collect();
+        let nonces: Vec<u64> = (0..w).map(|_| self.entropy.gen()).collect();
+        let topology = (w > 1).then_some(self.topology);
+        if w > 1 {
+            self.window = (round + 1..round + w as u64).collect();
         }
+        let commit = Commit {
+            round,
+            fingerprint,
+            nonces,
+            topology,
+        };
+        self.server.tracker().commit(commit, cohort);
         drain_to(&mut self.server, &mut self.transport, cohort)?;
         self.transport.flush(label);
         pump(
@@ -1555,37 +1489,45 @@ impl<F: Field, T: Transport<F>> SyncFederation<F, T> {
             &mut self.clients,
             cohort,
         )?;
-        if w == 1 {
-            self.server.ratchet_ready(round)
-        } else {
-            self.server.ratchet_window_ready(round)
-        }
+        self.server.tracker().ready(round)
     }
 
     /// Discard everything a failed ratchet handshake may have built:
     /// retained bases, the server commit, pre-committed window nonces,
-    /// half-built round sessions and in-flight announcements.
+    /// half-built round state and in-flight announcements.
     fn ratchet_rollback(&mut self, round: u64, cohort: &BTreeSet<usize>) {
-        self.ratchet_fp = None;
-        self.window.clear();
-        self.server.clear_ratchet();
+        self.forget_ratchet(cohort.iter().copied());
         for &id in cohort {
-            self.clients[id].clear_ratchet();
-            self.clients[id].discard_round(round);
+            self.clients[id].forget_round(round);
         }
-        self.transport.flush("ratchet-abort");
-        while let Ok(Some(_)) = self.transport.recv() {}
+        self.discard_in_flight("ratchet-abort");
     }
 
-    /// Corrupt client `id`'s retained base fingerprint — test hook for
-    /// the stale-fingerprint failure path.
-    #[doc(hidden)]
-    pub fn poison_ratchet(&mut self, id: usize, fingerprint: u64) {
-        self.clients[id].poison_ratchet(fingerprint);
+    /// Forget the retained cohort fingerprint, the banked window, any
+    /// commit in flight and the bases of the `members`.
+    fn forget_ratchet(&mut self, members: impl IntoIterator<Item = usize>) {
+        self.ratchet_fp = None;
+        self.window.clear();
+        self.server.tracker().clear();
+        for id in members {
+            self.clients[id].bank().clear();
+        }
+    }
+
+    /// Deliver nothing more: flush the transport and drop what it holds.
+    fn discard_in_flight(&mut self, label: &'static str) {
+        self.transport.flush(label);
+        while let Ok(Some(_)) = self.transport.recv() {}
     }
 }
 
-impl<F: Field, T: Transport<F>> SecureAggregator<F> for SyncFederation<F, T> {
+impl<F, T, C, S> SecureAggregator<F> for LeafFederation<F, T, C, S>
+where
+    F: Field,
+    T: Transport<F>,
+    C: LeafClient<F>,
+    S: LeafServer<F>,
+{
     fn config(&self) -> LsaConfig {
         self.cfg
     }
@@ -1602,31 +1544,19 @@ impl<F: Field, T: Transport<F>> SecureAggregator<F> for SyncFederation<F, T> {
         let round = self.next_round;
         // telemetry baseline: everything from here to `finish_round`
         // (including an overlapped `prepare_next`) bills to this round
-        self.mark_round_start();
-        let (ratcheted, windowed) = if claim_prepared(&mut self.prepared, round, &cohort)? {
-            match self.prepared_ratcheted.remove(&round) {
-                Some(windowed) => (true, windowed),
-                None => (false, false),
-            }
+        self.mark = TrafficMark::of::<F, T>(&self.transport);
+        self.mark_ingress = self.server.ingress();
+        let ratcheted = if claim_prepared(&mut self.prepared, round, &cohort)? {
+            self.prepared_ratcheted.remove(&round)
         } else {
-            match self.try_ratchet(round, &cohort, "offline") {
-                Some(windowed) => (true, windowed),
-                None => {
-                    self.exchange_masks(round, &cohort, "offline")?;
-                    (false, false)
-                }
-            }
+            self.mask_round(round, &cohort, "offline")?
         };
-        self.server.open_round(round)?;
+        self.server.open(round)?;
         self.next_round = round + 1;
-        self.open = Some(OpenRound {
-            round,
-            cohort,
-            submitted: BTreeSet::new(),
-            dropped: BTreeSet::new(),
-            ratcheted,
-            windowed,
-        });
+        let mut open = OpenRound::new(round, cohort);
+        open.ratcheted = ratcheted.is_some();
+        open.windowed = ratcheted == Some(true);
+        self.open = Some(open);
         Ok(round)
     }
 
@@ -1634,11 +1564,8 @@ impl<F: Field, T: Transport<F>> SecureAggregator<F> for SyncFederation<F, T> {
         let round = self.next_round;
         ensure_unprepared(&self.prepared, round)?;
         let cohort = validate_cohort(&self.cfg, cohort)?;
-        match self.try_ratchet(round, &cohort, "offline-overlap") {
-            Some(windowed) => {
-                self.prepared_ratcheted.insert(round, windowed);
-            }
-            None => self.exchange_masks(round, &cohort, "offline-overlap")?,
+        if let Some(windowed) = self.mask_round(round, &cohort, "offline-overlap")? {
+            self.prepared_ratcheted.insert(round, windowed);
         }
         self.prepared.insert(round, cohort);
         Ok(())
@@ -1652,7 +1579,7 @@ impl<F: Field, T: Transport<F>> SecureAggregator<F> for SyncFederation<F, T> {
         }
         let round = open.round;
         let online = open.online();
-        self.clients[id].upload(round, update)?;
+        self.clients[id].upload_round(round, update)?;
         self.open
             .as_mut()
             .expect("round is open")
@@ -1689,8 +1616,8 @@ impl<F: Field, T: Transport<F>> SecureAggregator<F> for SyncFederation<F, T> {
             &online,
         )?;
 
-        // Fix survivors, announce, collect aggregated shares.
-        let survivors = self.server.close_upload()?;
+        // Fix the contributors, announce, collect aggregated shares.
+        self.server.close()?;
         drain_to(&mut self.server, &mut self.transport, &online)?;
         self.transport.flush("announce");
         pump(
@@ -1707,71 +1634,56 @@ impl<F: Field, T: Transport<F>> SecureAggregator<F> for SyncFederation<F, T> {
             &online,
         )?;
 
-        let aggregate = self.server.close_round()?;
-        // Every cohort member completed this round: retain the (full)
-        // exchange as the ratchet base for the next stable round. The
-        // harvest runs before the retire below removes the sessions.
-        if ratchet_enabled() {
-            let members: Vec<usize> = open.cohort.iter().copied().collect();
-            let fp = CohortFingerprint::of_flat(self.group, self.cfg, &members).raw();
-            for &id in &open.cohort {
-                self.clients[id].harvest_ratchet(open.round, fp, open.ratcheted);
+        let outcome = self.server.recover_round(open.round)?;
+        // Every cohort member completed this round: retain the full
+        // exchange as the ratchet base for the next stable round (a
+        // ratcheted round's mask is `m + u`, not base material, so the
+        // previous base is kept). The harvest runs before the retire
+        // below drops the round's state.
+        if self.ratchet {
+            let fp = self.fingerprint(&open.cohort);
+            if !open.ratcheted {
+                for &id in &open.cohort {
+                    self.clients[id].harvest_ratchet(open.round, fp);
+                }
             }
             self.ratchet_fp = Some(fp);
         }
         // Retire the finished round everywhere; prepared next-round
-        // sessions survive (they are >= round + 1).
+        // state survives (it is >= round + 1).
         for client in &mut self.clients {
-            client.retire_below(open.round + 1);
+            client.retire(open.round + 1);
         }
         self.last_report = Some(self.cut_report(&open));
         self.open = None;
-        Ok(RoundOutcome {
-            round: open.round,
-            aggregate,
-            total_weight: survivors.len() as u64,
-            contributors: survivors,
-        })
+        Ok(outcome)
     }
 
     fn abort_round(&mut self) {
         if let Some(open) = self.open.take() {
-            self.server.abort_round();
+            self.server.abort();
             // an abort means the cohort did not complete the round:
             // conservatively forget the ratchet bases too
-            self.ratchet_fp = None;
-            self.window.clear();
-            self.server.clear_ratchet();
-            // the aborted round's sessions can never complete; retire
-            // them so envelopes for it surface as StaleRound, while any
-            // prepared round >= round + 1 survives
+            self.forget_ratchet(0..self.clients.len());
+            // the aborted round can never complete, while any prepared
+            // round >= round + 1 survives
             for client in &mut self.clients {
-                client.clear_ratchet();
-                client.retire_below(open.round + 1);
+                client.retire_aborted(open.round + 1);
             }
-            // discard in-flight traffic of the dead round
-            self.transport.flush("abort");
-            while let Ok(Some(_)) = self.transport.recv() {}
+            self.discard_in_flight("abort");
         }
     }
 
     fn clear_ratchet(&mut self) {
-        self.ratchet_fp = None;
-        self.window.clear();
-        self.server.clear_ratchet();
-        for client in &mut self.clients {
-            client.clear_ratchet();
-        }
+        self.forget_ratchet(0..self.clients.len());
         // ratchet-derived preparations are as suspect as the base they
         // came from: drop them so a retry full-exchanges
-        let ratcheted: Vec<u64> = self.prepared_ratcheted.keys().copied().collect();
-        for round in ratcheted {
+        for round in std::mem::take(&mut self.prepared_ratcheted).into_keys() {
             self.prepared.remove(&round);
             for client in &mut self.clients {
-                client.discard_round(round);
+                client.forget_round(round);
             }
         }
-        self.prepared_ratcheted.clear();
     }
 
     fn reseat_ratchet(&mut self, seed: u64) {
@@ -1780,16 +1692,20 @@ impl<F: Field, T: Transport<F>> SecureAggregator<F> for SyncFederation<F, T> {
         // derivation must diverge from the pre-permute stretch (and any
         // pre-committed window dies with the old seating)
         self.window.clear();
-        self.server.clear_ratchet();
+        self.server.tracker().clear();
+        let mut carried = true;
         for client in &mut self.clients {
-            client.reseat_ratchet(seed);
+            carried &= client.reseat_ratchet(seed);
+        }
+        if !carried {
+            self.clear_ratchet();
         }
     }
 
     fn set_pad_topology(&mut self, topology: PadTopology) {
         self.topology = topology;
         for client in &mut self.clients {
-            client.set_pad_topology(topology);
+            client.bank().set_topology(topology);
         }
     }
 
@@ -1799,458 +1715,6 @@ impl<F: Field, T: Transport<F>> SecureAggregator<F> for SyncFederation<F, T> {
 
     fn cohort_fingerprint(&self, cohort: &[usize]) -> Option<CohortFingerprint> {
         Some(CohortFingerprint::of_flat(self.group, self.cfg, cohort))
-    }
-
-    fn bytes_sent(&self) -> usize {
-        self.transport.bytes_sent()
-    }
-
-    fn round_report(&self) -> Option<RoundReport> {
-        self.last_report.clone()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Buffered-asynchronous variant
-// ---------------------------------------------------------------------
-
-/// The §4.2 buffered-asynchronous protocol behind the
-/// [`SecureAggregator`] trait: persistent [`AsyncClientSession`]s whose
-/// round-stamped masks let the server recover a staleness-weighted
-/// aggregate from whatever the buffer holds when the round closes.
-#[derive(Debug, Clone)]
-pub struct BufferedFederation<F, T> {
-    cfg: LsaConfig,
-    transport: T,
-    clients: Vec<AsyncClientSession<F>>,
-    server: AsyncServerSession<F>,
-    next_round: u64,
-    open: Option<OpenRound>,
-    prepared: BTreeMap<u64, BTreeSet<usize>>,
-    /// Prepared rounds whose masks came from the ratchet, not a full
-    /// exchange; the value records whether the round was joined from a
-    /// window with zero handshake traffic.
-    prepared_ratcheted: BTreeMap<u64, bool>,
-    /// Driver-side nonce entropy for ratchet commits.
-    entropy: StdRng,
-    /// Fingerprint of the cohort whose base masks the clients retain.
-    ratchet_fp: Option<u64>,
-    /// Pad topology ratcheted rounds derive pairwise pads over.
-    topology: PadTopology,
-    /// Nonce commit window `W` (`1` = the per-round legacy flow).
-    commit_window: usize,
-    /// Driver-side mirror of the pre-committed window, `round → nonce`.
-    window: BTreeMap<u64, u64>,
-    /// Transport counters snapshotted when the open round started (see
-    /// [`SyncFederation`]'s field of the same name).
-    mark: TrafficMark,
-    /// Telemetry of the most recent finished round.
-    last_report: Option<RoundReport>,
-}
-
-impl<F: Field, T: Transport<F>> BufferedFederation<F, T> {
-    /// Create a buffered federation with the given staleness weighting.
-    /// Updates submitted through the [`SecureAggregator`] interface are
-    /// always fresh (`τ = 0`), so any staleness function yields uniform
-    /// weights; the function matters when feeding the server stale
-    /// uploads directly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid configuration.
-    pub fn new(
-        cfg: LsaConfig,
-        staleness: QuantizedStaleness,
-        transport: T,
-        seed: u64,
-    ) -> Result<Self, ProtocolError> {
-        let mut master = StdRng::seed_from_u64(seed);
-        let clients = (0..cfg.n())
-            .map(|id| AsyncClientSession::from_rng(id, cfg, &mut master))
-            .collect::<Result<_, _>>()?;
-        let server =
-            AsyncServerSession::new(cfg, cfg.n(), staleness, StdRng::seed_from_u64(master.gen()))?;
-        // drawn after every pre-existing seed so those streams are
-        // unchanged
-        let entropy = StdRng::seed_from_u64(master.gen());
-        Ok(Self {
-            cfg,
-            transport,
-            clients,
-            server,
-            next_round: 0,
-            open: None,
-            prepared: BTreeMap::new(),
-            prepared_ratcheted: BTreeMap::new(),
-            entropy,
-            ratchet_fp: None,
-            topology: crate::ratchet::pad_topology(),
-            commit_window: crate::ratchet::commit_window(),
-            window: BTreeMap::new(),
-            mark: TrafficMark::default(),
-            last_report: None,
-        })
-    }
-
-    /// As [`Self::new`] with unit weights (`s(τ) = 1`, `c_g = 1`) —
-    /// the drop-in replacement for the synchronous variant.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid configuration.
-    pub fn unit_weight(cfg: LsaConfig, transport: T, seed: u64) -> Result<Self, ProtocolError> {
-        Self::new(
-            cfg,
-            QuantizedStaleness::new(StalenessFn::Constant, 1),
-            transport,
-            seed,
-        )
-    }
-
-    /// The underlying transport (for byte/timing statistics).
-    pub fn transport(&self) -> &T {
-        &self.transport
-    }
-
-    /// Mutable access to the transport.
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
-    }
-
-    fn exchange_masks(
-        &mut self,
-        round: u64,
-        cohort: &BTreeSet<usize>,
-        label: &'static str,
-    ) -> Result<(), ProtocolError> {
-        for &id in cohort {
-            self.clients[id].generate_round_mask(round)?;
-        }
-        for &id in cohort {
-            drain_to(&mut self.clients[id], &mut self.transport, cohort)?;
-        }
-        self.transport.flush(label);
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            cohort,
-        )
-    }
-
-    /// The stable-cohort fast path, buffered variant (see
-    /// [`SyncFederation::try_ratchet`]): join a pre-committed window
-    /// round driver-locally (`Some(true)`), or commit fresh nonces and
-    /// collect the acks (`Some(false)`); `None` falls back to the full
-    /// exchange.
-    fn try_ratchet(
-        &mut self,
-        round: u64,
-        cohort: &BTreeSet<usize>,
-        label: &'static str,
-    ) -> Option<bool> {
-        if !ratchet_enabled() {
-            return None;
-        }
-        let members: Vec<usize> = cohort.iter().copied().collect();
-        let fp = CohortFingerprint::of_flat(0, self.cfg, &members).raw();
-        if self.ratchet_fp != Some(fp) {
-            // churn mid-window: purge the stale nonces so the re-key
-            // starts clean
-            if !self.window.is_empty() {
-                self.window.clear();
-                for client in &mut self.clients {
-                    client.clear_ratchet();
-                }
-            }
-            return None;
-        }
-        if self.window.contains_key(&round) {
-            let joined = cohort
-                .iter()
-                .try_for_each(|&id| self.clients[id].ratchet_join(round));
-            match joined {
-                Ok(()) => {
-                    self.window.remove(&round);
-                    return Some(true);
-                }
-                Err(_) => {
-                    self.ratchet_rollback(round, cohort);
-                    return None;
-                }
-            }
-        }
-        match self.exchange_ratchet(round, cohort, fp, label) {
-            Ok(()) => Some(false),
-            Err(_) => {
-                self.ratchet_rollback(round, cohort);
-                None
-            }
-        }
-    }
-
-    fn exchange_ratchet(
-        &mut self,
-        round: u64,
-        cohort: &BTreeSet<usize>,
-        fingerprint: u64,
-        label: &'static str,
-    ) -> Result<(), ProtocolError> {
-        let w = self.commit_window.max(1);
-        if w == 1 {
-            let nonce = self.entropy.gen();
-            self.server.commit_ratchet(round, nonce, fingerprint);
-        } else {
-            let nonces: Vec<u64> = (0..w).map(|_| self.entropy.gen()).collect();
-            self.server
-                .commit_ratchet_window(round, fingerprint, self.topology, nonces.clone());
-            self.window = nonces
-                .iter()
-                .enumerate()
-                .skip(1)
-                .map(|(i, &n)| (round + i as u64, n))
-                .collect();
-        }
-        drain_to(&mut self.server, &mut self.transport, cohort)?;
-        self.transport.flush(label);
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            cohort,
-        )?;
-        self.transport.flush(label);
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            cohort,
-        )?;
-        if w == 1 {
-            self.server.ratchet_ready(round, cohort.len())
-        } else {
-            self.server.ratchet_window_ready(round, cohort.len())
-        }
-    }
-
-    fn ratchet_rollback(&mut self, round: u64, cohort: &BTreeSet<usize>) {
-        self.ratchet_fp = None;
-        self.window.clear();
-        self.server.clear_ratchet();
-        for &id in cohort {
-            self.clients[id].clear_ratchet();
-            self.clients[id].forget_round(round);
-        }
-        self.transport.flush("ratchet-abort");
-        while let Ok(Some(_)) = self.transport.recv() {}
-    }
-}
-
-impl<F: Field, T: Transport<F>> SecureAggregator<F> for BufferedFederation<F, T> {
-    fn config(&self) -> LsaConfig {
-        self.cfg
-    }
-
-    fn round(&self) -> u64 {
-        self.open.as_ref().map_or(self.next_round, |o| o.round)
-    }
-
-    fn open_round(&mut self, cohort: &[usize]) -> Result<u64, ProtocolError> {
-        if self.open.is_some() {
-            return Err(ProtocolError::WrongPhase);
-        }
-        let cohort = validate_cohort(&self.cfg, cohort)?;
-        let round = self.next_round;
-        // telemetry baseline (see [`SyncFederation::open_round`])
-        self.mark = TrafficMark::of::<F, T>(&self.transport);
-        self.server.advance_to(round);
-        let (ratcheted, windowed) = if claim_prepared(&mut self.prepared, round, &cohort)? {
-            match self.prepared_ratcheted.remove(&round) {
-                Some(windowed) => (true, windowed),
-                None => (false, false),
-            }
-        } else {
-            match self.try_ratchet(round, &cohort, "offline") {
-                Some(windowed) => (true, windowed),
-                None => {
-                    self.exchange_masks(round, &cohort, "offline")?;
-                    (false, false)
-                }
-            }
-        };
-        self.next_round = round + 1;
-        self.open = Some(OpenRound {
-            round,
-            cohort,
-            submitted: BTreeSet::new(),
-            dropped: BTreeSet::new(),
-            ratcheted,
-            windowed,
-        });
-        Ok(round)
-    }
-
-    fn prepare_next(&mut self, cohort: &[usize]) -> Result<(), ProtocolError> {
-        let round = self.next_round;
-        ensure_unprepared(&self.prepared, round)?;
-        let cohort = validate_cohort(&self.cfg, cohort)?;
-        match self.try_ratchet(round, &cohort, "offline-overlap") {
-            Some(windowed) => {
-                self.prepared_ratcheted.insert(round, windowed);
-            }
-            None => {
-                self.exchange_masks(round, &cohort, "offline-overlap")?;
-            }
-        }
-        self.prepared.insert(round, cohort);
-        Ok(())
-    }
-
-    fn submit(&mut self, id: usize, update: &[F]) -> Result<(), ProtocolError> {
-        let open = self.open.as_ref().ok_or(ProtocolError::WrongPhase)?;
-        open.require_member(id)?;
-        if open.submitted.contains(&id) {
-            return Err(ProtocolError::DuplicateMessage(id));
-        }
-        let round = open.round;
-        let online = open.online();
-        self.clients[id].upload_update(round, update)?;
-        self.open
-            .as_mut()
-            .expect("round is open")
-            .submitted
-            .insert(id);
-        drain_to(&mut self.clients[id], &mut self.transport, &online)
-    }
-
-    fn mark_dropped(&mut self, id: usize) -> Result<(), ProtocolError> {
-        let open = self.open.as_mut().ok_or(ProtocolError::WrongPhase)?;
-        open.require_member(id)?;
-        open.dropped.insert(id);
-        Ok(())
-    }
-
-    fn finish_round(&mut self) -> Result<RoundOutcome<F>, ProtocolError> {
-        let open = self.open.clone().ok_or(ProtocolError::WrongPhase)?;
-        // ratcheted rounds require the full cohort's uploads in the sum
-        // (see [`SyncFederation::finish_round`]); the round stays open
-        // for `abort_round`
-        if open.ratcheted && open.submitted.len() != open.cohort.len() {
-            return Err(ProtocolError::RatchetMismatch);
-        }
-        let online = open.online();
-
-        self.transport.flush("upload");
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            &online,
-        )?;
-
-        // Fix whatever the buffer holds (§4.2: the group size need not
-        // be fixed across rounds) and collect weighted shares.
-        self.server.announce_partial()?;
-        drain_to(&mut self.server, &mut self.transport, &online)?;
-        self.transport.flush("announce");
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            &online,
-        )?;
-        self.transport.flush("recovery");
-        pump(
-            &mut self.transport,
-            &mut self.server,
-            &mut self.clients,
-            &online,
-        )?;
-
-        let recovered = self.server.recover()?;
-        // Retain the full exchange as the ratchet base (a ratcheted
-        // round's mask is `m + u`, so the previous base is kept).
-        if ratchet_enabled() {
-            let members: Vec<usize> = open.cohort.iter().copied().collect();
-            let fp = CohortFingerprint::of_flat(0, self.cfg, &members).raw();
-            if !open.ratcheted {
-                for &id in &open.cohort {
-                    self.clients[id].harvest_ratchet(open.round, fp);
-                }
-            }
-            self.ratchet_fp = Some(fp);
-        }
-        // Bounded memory: masks for finished rounds can never be
-        // requested again (prepared rounds are >= round + 1 and survive;
-        // a retained ratchet base round is kept alive by the clamp in
-        // `AsyncClientSession::discard_before`).
-        for client in &mut self.clients {
-            client.discard_before(open.round + 1);
-        }
-        let mut report = self.mark.cut::<F, T>(&self.transport, open.round);
-        report.events.dropouts = open.dropped.len();
-        report.events.ratchets = usize::from(open.ratcheted && !open.windowed);
-        report.events.windowed_ratchets = usize::from(open.windowed);
-        self.last_report = Some(report);
-        self.open = None;
-        let mut contributors: Vec<usize> = recovered.entries.iter().map(|e| e.who).collect();
-        contributors.sort_unstable();
-        contributors.dedup();
-        Ok(RoundOutcome {
-            round: open.round,
-            aggregate: recovered.aggregate,
-            contributors,
-            total_weight: recovered.total_weight,
-        })
-    }
-
-    fn abort_round(&mut self) {
-        if self.open.take().is_some() {
-            // an abort means the cohort did not complete the round:
-            // conservatively forget the ratchet bases too
-            self.ratchet_fp = None;
-            self.window.clear();
-            self.server.clear_ratchet();
-            for client in &mut self.clients {
-                client.clear_ratchet();
-            }
-            // the buffered server is persistent (advance_to re-anchors it
-            // on the next open); just discard the round's in-flight traffic
-            self.transport.flush("abort");
-            while let Ok(Some(_)) = self.transport.recv() {}
-        }
-    }
-
-    fn clear_ratchet(&mut self) {
-        self.ratchet_fp = None;
-        self.window.clear();
-        self.server.clear_ratchet();
-        for client in &mut self.clients {
-            client.clear_ratchet();
-        }
-        let ratcheted: Vec<u64> = self.prepared_ratcheted.keys().copied().collect();
-        for round in ratcheted {
-            self.prepared.remove(&round);
-            for client in &mut self.clients {
-                client.forget_round(round);
-            }
-        }
-        self.prepared_ratcheted.clear();
-    }
-
-    fn set_pad_topology(&mut self, topology: PadTopology) {
-        self.topology = topology;
-        for client in &mut self.clients {
-            client.set_pad_topology(topology);
-        }
-    }
-
-    fn set_commit_window(&mut self, window: usize) {
-        self.commit_window = window.clamp(1, crate::ratchet::MAX_COMMIT_WINDOW);
-    }
-
-    fn cohort_fingerprint(&self, cohort: &[usize]) -> Option<CohortFingerprint> {
-        Some(CohortFingerprint::of_flat(0, self.cfg, cohort))
     }
 
     fn bytes_sent(&self) -> usize {
@@ -2499,6 +1963,7 @@ impl<F> core::fmt::Debug for Federation<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ratchet::{RatchetAnnouncement, RATCHET_FROM_SERVER};
     use crate::transport::MemTransport;
     use lsa_field::Fp61;
 

@@ -30,7 +30,7 @@
 //! per-round `nonce` (and the cohort fingerprint it believes in), each
 //! client checks the fingerprint against its retained state and acks.
 //! Any churn, reassignment, or disagreement surfaces as the typed
-//! [`ProtocolError::RatchetMismatch`](crate::ProtocolError::RatchetMismatch)
+//! [`ProtocolError::RatchetMismatch`]
 //! and falls back to the ordinary full offline exchange.
 //!
 //! Security: in a ratcheted round each mask is `m_i` plus a pad that is
@@ -44,8 +44,12 @@
 
 use lsa_crypto::{sha256, FieldPrg, Seed};
 use lsa_field::Field;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::config::LsaConfig;
+use crate::session::{Outgoing, Recipient};
+use crate::wire::Envelope;
+use crate::ProtocolError;
 
 /// Domain tag for per-member fingerprint digests.
 const FP_DOMAIN: &[u8] = b"lsa-ratchet-fp-v1";
@@ -126,9 +130,9 @@ fn member_digest(group: usize, cfg: LsaConfig, id: usize, slot: usize) -> u64 {
 /// `fingerprint` the server expects (`from` is
 /// [`RATCHET_FROM_SERVER`]). Client → server: echoes the same fields as
 /// an ack (`from` is the client id). A mismatched fingerprint or nonce
-/// is [`ProtocolError::RatchetMismatch`](crate::ProtocolError::RatchetMismatch);
+/// is [`ProtocolError::RatchetMismatch`];
 /// a replayed announcement from an earlier round is
-/// [`ProtocolError::StaleRound`](crate::ProtocolError::StaleRound).
+/// [`ProtocolError::StaleRound`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RatchetAnnouncement {
     /// [`RATCHET_FROM_SERVER`] for the commit, the client id for acks.
@@ -153,7 +157,7 @@ pub struct RatchetAnnouncement {
 /// ack (`from` is the client id). The first window round is derived and
 /// acked immediately; later rounds are joined locally with **zero**
 /// wire traffic. Any churn, fingerprint or topology disagreement is
-/// [`ProtocolError::RatchetMismatch`](crate::ProtocolError::RatchetMismatch)
+/// [`ProtocolError::RatchetMismatch`]
 /// and purges the remaining window nonces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RatchetWindowCommit {
@@ -181,7 +185,10 @@ impl RatchetWindowCommit {
 
 /// Is the stable-cohort ratchet enabled? Defaults to on; set
 /// `LSA_RATCHET=off` (or `0`) to force the full offline exchange every
-/// round — both paths must produce identical aggregates.
+/// round — both paths must produce identical aggregates. Each leaf
+/// federation reads the knob once, at construction, like
+/// [`pad_topology`] and [`commit_window`]; changing it afterwards does
+/// not affect a built federation.
 pub fn ratchet_enabled() -> bool {
     match std::env::var("LSA_RATCHET") {
         Ok(v) => !matches!(v.trim(), "off" | "0" | "false"),
@@ -408,6 +415,308 @@ pub(crate) fn add_pair_pad<F: Field>(
         lsa_field::ops::add_assign(mask, &pad);
     } else {
         lsa_field::ops::sub_assign(mask, &pad);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The commit/ack handshake, shared by the sync and buffered variants
+// ---------------------------------------------------------------------
+
+pub(crate) use handshake::{Commit, CommitTracker, RatchetBank};
+
+/// The handshake types are public only in name: the module is private,
+/// so the crate-private variant seam ([`crate::federation`]) can name
+/// them without exporting them.
+mod handshake {
+    use super::*;
+
+    /// A server ratchet commit in either wire form: a single-round
+    /// [`RatchetAnnouncement`] (`topology` is `None`, one nonce) or a
+    /// [`RatchetWindowCommit`] whose `nonces[k]` serves round `round + k`.
+    #[derive(Debug, Clone)]
+    pub struct Commit {
+        pub(crate) round: u64,
+        pub(crate) fingerprint: u64,
+        pub(crate) nonces: Vec<u64>,
+        pub(crate) topology: Option<PadTopology>,
+    }
+
+    impl Commit {
+        /// The commit a ratchet `envelope` carries.
+        ///
+        /// # Errors
+        ///
+        /// [`ProtocolError::UnexpectedEnvelope`] for an ack (a ratchet
+        /// envelope not sent by the server), a window without nonces, or
+        /// any other kind.
+        pub(crate) fn from_server<F: Field>(envelope: &Envelope<F>) -> Result<Self, ProtocolError> {
+            let unexpected = ProtocolError::UnexpectedEnvelope {
+                kind: envelope.kind(),
+            };
+            let (from, commit) = match envelope {
+                Envelope::RatchetAnnouncement(a) => (
+                    a.from,
+                    Commit {
+                        round: a.round,
+                        fingerprint: a.fingerprint,
+                        nonces: vec![a.nonce],
+                        topology: None,
+                    },
+                ),
+                Envelope::RatchetWindowCommit(w) => (
+                    w.from,
+                    Commit {
+                        round: w.round,
+                        fingerprint: w.fingerprint,
+                        nonces: w.nonces.clone(),
+                        topology: Some(w.topology),
+                    },
+                ),
+                _ => return Err(unexpected),
+            };
+            if from != RATCHET_FROM_SERVER || commit.nonces.is_empty() {
+                return Err(unexpected);
+            }
+            Ok(commit)
+        }
+
+        /// The envelope sent as `from` in `group`: the server's commit, or
+        /// a client's ack (which echoes every field but a window's nonces).
+        fn envelope<F>(&self, from: u32, group: usize) -> Envelope<F> {
+            match self.topology {
+                None => Envelope::RatchetAnnouncement(RatchetAnnouncement {
+                    from,
+                    group,
+                    round: self.round,
+                    nonce: self.nonces[0],
+                    fingerprint: self.fingerprint,
+                }),
+                Some(topology) => Envelope::RatchetWindowCommit(RatchetWindowCommit {
+                    from,
+                    group,
+                    round: self.round,
+                    fingerprint: self.fingerprint,
+                    topology,
+                    nonces: if from == RATCHET_FROM_SERVER {
+                        self.nonces.clone()
+                    } else {
+                        Vec::new()
+                    },
+                }),
+            }
+        }
+    }
+
+    /// Server half of the handshake: the one commit in flight, the cohort
+    /// it was sent to, the acks collected so far, and the queued commit
+    /// envelopes (a commit precedes its round, so no per-round session can
+    /// carry them).
+    #[derive(Debug, Clone)]
+    pub struct CommitTracker<F> {
+        group: usize,
+        in_flight: Option<(Commit, BTreeSet<usize>, BTreeSet<usize>)>,
+        outbox: VecDeque<Outgoing<F>>,
+    }
+
+    impl<F: Field> CommitTracker<F> {
+        pub(crate) fn new(group: usize) -> Self {
+            Self {
+                group,
+                in_flight: None,
+                outbox: VecDeque::new(),
+            }
+        }
+
+        /// Put `commit` in flight for `cohort`, queueing one envelope per
+        /// member in ascending id order. Replaces any earlier commit.
+        pub(crate) fn commit(&mut self, commit: Commit, cohort: &BTreeSet<usize>) {
+            for &id in cohort {
+                let envelope = commit.envelope(RATCHET_FROM_SERVER, self.group);
+                self.outbox.push_back((Recipient::Client(id), envelope));
+            }
+            self.in_flight = Some((commit, cohort.clone(), BTreeSet::new()));
+        }
+
+        /// Record one client's ack of the commit in flight.
+        ///
+        /// # Errors
+        ///
+        /// [`ProtocolError::RatchetMismatch`] without a commit of the ack's
+        /// form in flight, or on a nonce or fingerprint that differs from
+        /// it; [`ProtocolError::StaleRound`] for another round;
+        /// [`ProtocolError::UnknownUser`] from outside the cohort;
+        /// [`ProtocolError::DuplicateMessage`] for a second ack.
+        pub(crate) fn ack(&mut self, envelope: &Envelope<F>) -> Result<(), ProtocolError> {
+            let (from, round, fingerprint, nonce) = match envelope {
+                Envelope::RatchetAnnouncement(a) => (a.from, a.round, a.fingerprint, Some(a.nonce)),
+                Envelope::RatchetWindowCommit(w) => (w.from, w.round, w.fingerprint, None),
+                other => return Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
+            };
+            let Some((commit, cohort, acks)) = self
+                .in_flight
+                .as_mut()
+                .filter(|(c, _, _)| c.topology.is_none() == nonce.is_some())
+            else {
+                return Err(ProtocolError::RatchetMismatch);
+            };
+            if round != commit.round {
+                return Err(ProtocolError::StaleRound {
+                    got: round,
+                    current: commit.round,
+                });
+            }
+            if fingerprint != commit.fingerprint || nonce.is_some_and(|n| n != commit.nonces[0]) {
+                return Err(ProtocolError::RatchetMismatch);
+            }
+            let id = from as usize;
+            if !cohort.contains(&id) {
+                return Err(ProtocolError::UnknownUser(id));
+            }
+            if !acks.insert(id) {
+                return Err(ProtocolError::DuplicateMessage(id));
+            }
+            Ok(())
+        }
+
+        /// Consume the commit in flight: `Ok` iff it opens `round` and the
+        /// acks came from exactly its cohort.
+        ///
+        /// # Errors
+        ///
+        /// [`ProtocolError::RatchetMismatch`] otherwise.
+        pub(crate) fn ready(&mut self, round: u64) -> Result<(), ProtocolError> {
+            match self.in_flight.take() {
+                Some((commit, cohort, acks)) if commit.round == round && acks == cohort => Ok(()),
+                _ => Err(ProtocolError::RatchetMismatch),
+            }
+        }
+
+        /// Forget the commit in flight and its undelivered envelopes (a
+        /// commit replayed after a rollback would poison fresh rounds).
+        pub(crate) fn clear(&mut self) {
+            self.in_flight = None;
+            self.outbox.clear();
+        }
+
+        pub(crate) fn poll_output(&mut self) -> Option<Outgoing<F>> {
+            self.outbox.pop_front()
+        }
+    }
+
+    /// Client half of the handshake: the retained base (with the
+    /// fingerprint of the cohort it was exchanged in), the pad topology of
+    /// ratcheted rounds, and the nonces the last window commit banked for
+    /// zero-traffic joins, `round → nonce`. `B` is the variant's base
+    /// material.
+    #[derive(Debug, Clone)]
+    pub struct RatchetBank<B> {
+        base: Option<(B, u64)>,
+        topology: PadTopology,
+        window: BTreeMap<u64, u64>,
+    }
+
+    impl<B> RatchetBank<B> {
+        /// An empty bank, under the `LSA_PAD_TOPOLOGY` knob.
+        pub(crate) fn new() -> Self {
+            Self {
+                base: None,
+                topology: pad_topology(),
+                window: BTreeMap::new(),
+            }
+        }
+
+        pub(crate) fn base(&self) -> Option<&B> {
+            self.base.as_ref().map(|(base, _)| base)
+        }
+
+        /// Retain `base` for the cohort fingerprinted by `fingerprint`.
+        pub(crate) fn retain(&mut self, base: B, fingerprint: u64) {
+            self.base = Some((base, fingerprint));
+        }
+
+        /// Forget the base (churn, reassignment, mismatch) and every banked
+        /// nonce: they were bound to the dead cohort and must never mask
+        /// another one.
+        pub(crate) fn clear(&mut self) {
+            self.base = None;
+            self.window.clear();
+        }
+
+        /// Drop the banked nonces (committed under the old seating) and
+        /// hand out the base for its pad epoch to be advanced.
+        pub(crate) fn reseat(&mut self) -> Option<&mut B> {
+            self.window.clear();
+            self.base.as_mut().map(|(base, _)| base)
+        }
+
+        /// Corrupt the retained fingerprint — test hook for the
+        /// stale-fingerprint path.
+        pub(crate) fn poison(&mut self, fingerprint: u64) {
+            if let Some((_, fp)) = self.base.as_mut() {
+                *fp = fingerprint;
+            }
+        }
+
+        pub(crate) fn set_topology(&mut self, topology: PadTopology) {
+            self.topology = topology;
+        }
+
+        /// Accept a server `commit` whose round the caller found fresh:
+        /// check the fingerprint, derive the first round with
+        /// `derive(base, round, nonce, topology)`, bank the rest of a
+        /// window (replacing any earlier one) and return client `id`'s ack.
+        /// A window commit also fixes the pad topology.
+        ///
+        /// # Errors
+        ///
+        /// [`ProtocolError::RatchetMismatch`] without a base or on a
+        /// fingerprint mismatch; whatever `derive` returns.
+        pub(crate) fn accept<F: Field>(
+            &mut self,
+            commit: &Commit,
+            id: usize,
+            group: usize,
+            derive: impl FnOnce(&B, u64, u64, PadTopology) -> Result<(), ProtocolError>,
+        ) -> Result<Outgoing<F>, ProtocolError> {
+            let Some((base, fingerprint)) = self.base.as_ref() else {
+                return Err(ProtocolError::RatchetMismatch);
+            };
+            if commit.fingerprint != *fingerprint {
+                return Err(ProtocolError::RatchetMismatch);
+            }
+            if let Some(topology) = commit.topology {
+                self.topology = topology;
+            }
+            derive(base, commit.round, commit.nonces[0], self.topology)?;
+            if commit.topology.is_some() {
+                self.window = commit
+                    .nonces
+                    .iter()
+                    .enumerate()
+                    .skip(1)
+                    .map(|(k, &nonce)| (commit.round + k as u64, nonce))
+                    .collect();
+            }
+            Ok((Recipient::Server, commit.envelope(id as u32, group)))
+        }
+
+        /// Take the banked nonce for `round`, with the base and topology a
+        /// zero-traffic join derives the round from.
+        ///
+        /// # Errors
+        ///
+        /// [`ProtocolError::RatchetMismatch`] without a base or when no
+        /// nonce is banked for `round`.
+        pub(crate) fn join(&mut self, round: u64) -> Result<(&B, u64, PadTopology), ProtocolError> {
+            let Some((base, _)) = self.base.as_ref() else {
+                return Err(ProtocolError::RatchetMismatch);
+            };
+            let nonce = self
+                .window
+                .remove(&round)
+                .ok_or(ProtocolError::RatchetMismatch)?;
+            Ok((base, nonce, self.topology))
+        }
     }
 }
 

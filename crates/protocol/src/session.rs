@@ -62,7 +62,9 @@
 use crate::asynchronous::{AsyncClient, AsyncServer, WeightedAggregate};
 use crate::client::Client;
 use crate::config::LsaConfig;
-use crate::ratchet::{PadTopology, RatchetAnnouncement, RatchetWindowCommit, RATCHET_FROM_SERVER};
+use crate::federation::seam::{LeafClient, LeafServer};
+use crate::federation::RoundOutcome;
+use crate::ratchet::{Commit, CommitTracker, PadTopology, RatchetBank};
 use crate::server::{ServerPhase, ServerRound};
 use crate::wire::{BufferAnnouncement, Envelope, SurvivorAnnouncement};
 use crate::ProtocolError;
@@ -184,40 +186,9 @@ impl<F: Field> ClientSession<F> {
     }
 
     /// Derive a session for a *ratcheted* round from retained base
-    /// state ([`crate::ratchet`]): no coded shares are queued — the
-    /// only envelope the offline phase produces is the fingerprint ack
-    /// to the server.
+    /// state ([`crate::ratchet`]): no coded shares are queued, and the
+    /// handshake ack (if the round has one) is the caller's to send.
     pub(crate) fn ratcheted(
-        base: &Client<F>,
-        round: u64,
-        nonce: u64,
-        fingerprint: u64,
-        topology: PadTopology,
-    ) -> Self {
-        let inner = Client::ratcheted_from(base, round, nonce, topology);
-        let mut outbox = VecDeque::new();
-        outbox.push_back((
-            Recipient::Server,
-            Envelope::RatchetAnnouncement(RatchetAnnouncement {
-                from: inner.id() as u32,
-                group: inner.group(),
-                round,
-                nonce,
-                fingerprint,
-            }),
-        ));
-        Self {
-            inner,
-            outbox,
-            uploaded: false,
-        }
-    }
-
-    /// As [`Self::ratcheted`], but without queueing an ack: the round's
-    /// nonce was already committed (and acked) as part of a
-    /// [`RatchetWindowCommit`] window, so joining it costs zero wire
-    /// traffic.
-    pub(crate) fn ratcheted_quiet(
         base: &Client<F>,
         round: u64,
         nonce: u64,
@@ -507,16 +478,10 @@ pub struct AsyncClientSession<F> {
     inner: AsyncClient<F>,
     entropy: StdRng,
     outbox: VecDeque<Outgoing<F>>,
-    /// Retained `(base round, cohort fingerprint)` for the stable-cohort
-    /// ratchet: set after a full offline exchange completes, cleared on
-    /// any churn ([`crate::ratchet`]).
-    ratchet: Option<(u64, u64)>,
-    /// Pad topology for ratcheted rounds (which edges get pairwise
-    /// pads); both endpoints of a cohort must agree.
-    topology: PadTopology,
-    /// Pre-committed window nonces, `round → nonce`: rounds here can be
-    /// joined via [`Self::ratchet_join`] with zero wire traffic.
-    window: std::collections::BTreeMap<u64, u64>,
+    /// The stable-cohort ratchet ([`crate::ratchet`]): the retained base
+    /// is the round whose full offline exchange later rounds derive
+    /// their masks from.
+    bank: RatchetBank<u64>,
 }
 
 impl<F: Field> AsyncClientSession<F> {
@@ -530,16 +495,14 @@ impl<F: Field> AsyncClientSession<F> {
             inner: AsyncClient::new(id, cfg)?,
             entropy,
             outbox: VecDeque::new(),
-            ratchet: None,
-            topology: crate::ratchet::pad_topology(),
-            window: std::collections::BTreeMap::new(),
+            bank: RatchetBank::new(),
         })
     }
 
     /// Override the pad topology used for ratcheted rounds (defaults to
     /// the `LSA_PAD_TOPOLOGY` environment knob at construction).
     pub fn set_pad_topology(&mut self, topology: PadTopology) {
-        self.topology = topology;
+        self.bank.set_topology(topology);
     }
 
     /// Create with an entropy stream derived from `rng` (convenience for
@@ -596,8 +559,8 @@ impl<F: Field> AsyncClientSession<F> {
     /// ratchet base is retained, the base round's state is kept alive
     /// regardless (and intermediate ratcheted rounds are evicted).
     pub fn discard_before(&mut self, keep_from: u64) {
-        match self.ratchet {
-            Some((base, _)) => self.inner.discard_before_keeping(keep_from, base),
+        match self.bank.base() {
+            Some(&base) => self.inner.discard_before_keeping(keep_from, base),
             None => self.inner.discard_before(keep_from),
         }
     }
@@ -607,42 +570,76 @@ impl<F: Field> AsyncClientSession<F> {
         self.inner.shares_stored()
     }
 
-    /// Mark `base_round`'s fully-exchanged state as the ratchet base for
-    /// the cohort identified by `fingerprint`.
-    pub(crate) fn harvest_ratchet(&mut self, base_round: u64, fingerprint: u64) {
-        self.ratchet = Some((base_round, fingerprint));
+    /// A server ratchet commit: derive the round's mask from the
+    /// retained base round and return the fingerprint-agreement ack.
+    fn accept_commit(&mut self, envelope: &Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
+        if envelope.group() != 0 {
+            return Err(ProtocolError::WrongGroup {
+                got: envelope.group(),
+                expected: 0,
+            });
+        }
+        let commit = Commit::from_server(envelope)?;
+        // a commit replayed from an already-masked round is a replay,
+        // not a fresh ratchet
+        if let Some(current) = self.inner.latest_mask_round() {
+            if commit.round <= current {
+                return Err(ProtocolError::StaleRound {
+                    got: commit.round,
+                    current,
+                });
+            }
+        }
+        let inner = &mut self.inner;
+        let ack = self
+            .bank
+            .accept(&commit, inner.id(), 0, |&base, round, nonce, topology| {
+                inner.ratchet_round_mask(round, base, nonce, topology)
+            })?;
+        Ok(vec![ack])
+    }
+}
+
+impl<F: Field> LeafClient<F> for AsyncClientSession<F> {
+    type Base = u64;
+
+    fn prepare_round(&mut self, round: u64) -> Result<(), ProtocolError> {
+        self.generate_round_mask(round)
     }
 
-    /// Forget any retained ratchet base (churn, reassignment, mismatch),
-    /// along with every pre-committed window nonce: the nonces were
-    /// bound to the dead cohort and must never mask another one.
-    pub(crate) fn clear_ratchet(&mut self) {
-        self.ratchet = None;
-        self.window.clear();
+    fn upload_round(&mut self, round: u64, update: &[F]) -> Result<(), ProtocolError> {
+        self.upload_update(round, update)
     }
 
-    /// Join a round whose nonce was pre-committed in a window: derive
-    /// the round mask locally, consuming the stored nonce. Zero wire
-    /// traffic.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::RatchetMismatch`] when no base is retained or
-    /// `round` is not in the committed window.
-    pub(crate) fn ratchet_join(&mut self, round: u64) -> Result<(), ProtocolError> {
-        let (base_round, _) = self.ratchet.ok_or(ProtocolError::RatchetMismatch)?;
-        let nonce = self
-            .window
-            .remove(&round)
-            .ok_or(ProtocolError::RatchetMismatch)?;
-        self.inner
-            .ratchet_round_mask(round, base_round, nonce, self.topology)
+    fn retire(&mut self, round: u64) {
+        self.discard_before(round);
     }
 
-    /// Drop exactly one round's mask and share state — rollback of a
-    /// half-built ratcheted round.
-    pub(crate) fn forget_round(&mut self, round: u64) {
+    /// Masks are per round, not per session: an aborted round's state
+    /// ages out with the next finished round.
+    fn retire_aborted(&mut self, _round: u64) {}
+
+    fn forget_round(&mut self, round: u64) {
         self.inner.forget_round(round);
+    }
+
+    fn harvest_ratchet(&mut self, round: u64, fingerprint: u64) {
+        self.bank.retain(round, fingerprint);
+    }
+
+    fn ratchet_join(&mut self, round: u64) -> Result<(), ProtocolError> {
+        let (&base, nonce, topology) = self.bank.join(round)?;
+        self.inner.ratchet_round_mask(round, base, nonce, topology)
+    }
+
+    /// The retained base masks are not re-derived under a new pad
+    /// epoch: a reseat costs this variant a full exchange.
+    fn reseat_ratchet(&mut self, _seed: u64) -> bool {
+        false
+    }
+
+    fn bank(&mut self) -> &mut RatchetBank<u64> {
+        &mut self.bank
     }
 }
 
@@ -667,96 +664,8 @@ impl<F: Field> Session<F> for AsyncClientSession<F> {
                 let share = self.inner.aggregated_share_for(ann.round, &ann.entries)?;
                 Ok(vec![(Recipient::Server, Envelope::AggregatedShare(share))])
             }
-            Envelope::RatchetAnnouncement(ann) => {
-                if ann.group != 0 {
-                    return Err(ProtocolError::WrongGroup {
-                        got: ann.group,
-                        expected: 0,
-                    });
-                }
-                if ann.from != RATCHET_FROM_SERVER {
-                    return Err(ProtocolError::UnexpectedEnvelope {
-                        kind: crate::wire::EnvelopeKind::RatchetAnnouncement,
-                    });
-                }
-                // a commit replayed from an already-masked round is a
-                // replay, not a fresh ratchet
-                if let Some(current) = self.inner.latest_mask_round() {
-                    if ann.round <= current {
-                        return Err(ProtocolError::StaleRound {
-                            got: ann.round,
-                            current,
-                        });
-                    }
-                }
-                let (base_round, fingerprint) =
-                    self.ratchet.ok_or(ProtocolError::RatchetMismatch)?;
-                if ann.fingerprint != fingerprint {
-                    return Err(ProtocolError::RatchetMismatch);
-                }
-                self.inner
-                    .ratchet_round_mask(ann.round, base_round, ann.nonce, self.topology)?;
-                Ok(vec![(
-                    Recipient::Server,
-                    Envelope::RatchetAnnouncement(RatchetAnnouncement {
-                        from: self.inner.id() as u32,
-                        group: 0,
-                        round: ann.round,
-                        nonce: ann.nonce,
-                        fingerprint,
-                    }),
-                )])
-            }
-            Envelope::RatchetWindowCommit(commit) => {
-                if commit.group != 0 {
-                    return Err(ProtocolError::WrongGroup {
-                        got: commit.group,
-                        expected: 0,
-                    });
-                }
-                if commit.from != RATCHET_FROM_SERVER || commit.nonces.is_empty() {
-                    return Err(ProtocolError::UnexpectedEnvelope {
-                        kind: crate::wire::EnvelopeKind::RatchetWindowCommit,
-                    });
-                }
-                if let Some(current) = self.inner.latest_mask_round() {
-                    if commit.round <= current {
-                        return Err(ProtocolError::StaleRound {
-                            got: commit.round,
-                            current,
-                        });
-                    }
-                }
-                let (base_round, fingerprint) =
-                    self.ratchet.ok_or(ProtocolError::RatchetMismatch)?;
-                if commit.fingerprint != fingerprint {
-                    return Err(ProtocolError::RatchetMismatch);
-                }
-                // the window replaces any previous one; the first round
-                // is derived (and acked) immediately, the rest join
-                // later via `ratchet_join` with zero wire traffic
-                self.topology = commit.topology;
-                self.inner.ratchet_round_mask(
-                    commit.round,
-                    base_round,
-                    commit.nonces[0],
-                    self.topology,
-                )?;
-                self.window.clear();
-                for (i, &nonce) in commit.nonces.iter().enumerate().skip(1) {
-                    self.window.insert(commit.round + i as u64, nonce);
-                }
-                Ok(vec![(
-                    Recipient::Server,
-                    Envelope::RatchetWindowCommit(RatchetWindowCommit {
-                        from: self.inner.id() as u32,
-                        group: 0,
-                        round: commit.round,
-                        fingerprint,
-                        topology: commit.topology,
-                        nonces: Vec::new(),
-                    }),
-                )])
+            Envelope::RatchetAnnouncement(_) | Envelope::RatchetWindowCommit(_) => {
+                self.accept_commit(&envelope)
             }
             other => Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
         }
@@ -779,11 +688,8 @@ pub struct AsyncServerSession<F> {
     now: u64,
     n: usize,
     outbox: VecDeque<Outgoing<F>>,
-    /// In-flight ratchet commit: `(round, nonce, fingerprint, acks)`.
-    ratchet: Option<(u64, u64, u64, std::collections::BTreeSet<usize>)>,
-    /// In-flight windowed ratchet commit:
-    /// `(first round, fingerprint, acks)`.
-    window: Option<(u64, u64, std::collections::BTreeSet<usize>)>,
+    /// The stable-cohort ratchet handshake ([`crate::ratchet`]).
+    ratchet: CommitTracker<F>,
 }
 
 impl<F: Field> AsyncServerSession<F> {
@@ -804,8 +710,7 @@ impl<F: Field> AsyncServerSession<F> {
             now: 0,
             n: cfg.n(),
             outbox: VecDeque::new(),
-            ratchet: None,
-            window: None,
+            ratchet: CommitTracker::new(0),
         })
     }
 
@@ -877,95 +782,42 @@ impl<F: Field> AsyncServerSession<F> {
     pub fn recover(&mut self) -> Result<WeightedAggregate<F>, ProtocolError> {
         self.inner.recover()
     }
+}
 
-    /// Local action: commit the ratchet nonce for `round` and queue a
-    /// [`RatchetAnnouncement`] to every user ([`crate::ratchet`]).
-    pub(crate) fn commit_ratchet(&mut self, round: u64, nonce: u64, fingerprint: u64) {
-        self.ratchet = Some((round, nonce, fingerprint, std::collections::BTreeSet::new()));
-        for id in 0..self.n {
-            self.outbox.push_back((
-                Recipient::Client(id),
-                Envelope::RatchetAnnouncement(RatchetAnnouncement {
-                    from: RATCHET_FROM_SERVER,
-                    group: 0,
-                    round,
-                    nonce,
-                    fingerprint,
-                }),
-            ));
-        }
+impl<F: Field> LeafServer<F> for AsyncServerSession<F> {
+    fn open(&mut self, round: u64) -> Result<(), ProtocolError> {
+        self.advance_to(round);
+        Ok(())
     }
 
-    /// Whether every one of the `expect` cohort members acked the
-    /// in-flight commit for `round`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::RatchetMismatch`] when no commit is in flight
-    /// for `round` or acks are missing.
-    pub(crate) fn ratchet_ready(&mut self, round: u64, expect: usize) -> Result<(), ProtocolError> {
-        match self.ratchet.take() {
-            Some((r, _, _, acks)) if r == round && acks.len() == expect => Ok(()),
-            _ => Err(ProtocolError::RatchetMismatch),
-        }
+    /// §4.2: fix whatever the buffer holds — the group size need not be
+    /// fixed across rounds.
+    fn close(&mut self) -> Result<(), ProtocolError> {
+        self.announce_partial()
     }
 
-    /// Local action: commit a *window* of ratchet nonces starting at
-    /// `round` and queue one [`RatchetWindowCommit`] to every user; one
-    /// handshake covers `nonces.len()` rounds ([`crate::ratchet`]).
-    pub(crate) fn commit_ratchet_window(
-        &mut self,
-        round: u64,
-        fingerprint: u64,
-        topology: PadTopology,
-        nonces: Vec<u64>,
-    ) {
-        self.window = Some((round, fingerprint, std::collections::BTreeSet::new()));
-        for id in 0..self.n {
-            self.outbox.push_back((
-                Recipient::Client(id),
-                Envelope::RatchetWindowCommit(RatchetWindowCommit {
-                    from: RATCHET_FROM_SERVER,
-                    group: 0,
-                    round,
-                    fingerprint,
-                    topology,
-                    nonces: nonces.clone(),
-                }),
-            ));
-        }
+    fn recover_round(&mut self, round: u64) -> Result<RoundOutcome<F>, ProtocolError> {
+        let recovered = self.inner.recover()?;
+        let mut contributors: Vec<usize> = recovered.entries.iter().map(|e| e.who).collect();
+        contributors.sort_unstable();
+        contributors.dedup();
+        Ok(RoundOutcome {
+            round,
+            aggregate: recovered.aggregate,
+            contributors,
+            total_weight: recovered.total_weight,
+        })
     }
 
-    /// Whether every one of the `expect` cohort members acked the
-    /// in-flight window commit opening at `round`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::RatchetMismatch`] when no window commit is in
-    /// flight for `round` or acks are missing.
-    pub(crate) fn ratchet_window_ready(
-        &mut self,
-        round: u64,
-        expect: usize,
-    ) -> Result<(), ProtocolError> {
-        match self.window.take() {
-            Some((r, _, acks)) if r == round && acks.len() == expect => Ok(()),
-            _ => Err(ProtocolError::RatchetMismatch),
-        }
+    /// The server is persistent: `open` re-anchors its clock.
+    fn abort(&mut self) {}
+
+    fn ingress(&self) -> (usize, usize) {
+        (0, 0)
     }
 
-    /// Forget any in-flight ratchet commit, including announcements not
-    /// yet drained (a replayed commit after rollback would poison fresh
-    /// sessions).
-    pub(crate) fn clear_ratchet(&mut self) {
-        self.ratchet = None;
-        self.window = None;
-        self.outbox.retain(|(_, e)| {
-            !matches!(
-                e,
-                Envelope::RatchetAnnouncement(_) | Envelope::RatchetWindowCommit(_)
-            )
-        });
+    fn tracker(&mut self) -> &mut CommitTracker<F> {
+        &mut self.ratchet
     }
 }
 
@@ -985,56 +837,17 @@ impl<F: Field> Session<F> for AsyncServerSession<F> {
                 self.inner.receive_aggregated_share(share)?;
                 Ok(Vec::new())
             }
-            Envelope::RatchetAnnouncement(ann) => {
-                let Some((round, nonce, fingerprint, acks)) = self.ratchet.as_mut() else {
-                    return Err(ProtocolError::RatchetMismatch);
-                };
-                if ann.round != *round {
-                    return Err(ProtocolError::StaleRound {
-                        got: ann.round,
-                        current: *round,
-                    });
-                }
-                if ann.nonce != *nonce || ann.fingerprint != *fingerprint {
-                    return Err(ProtocolError::RatchetMismatch);
-                }
-                let id = ann.from as usize;
-                if id >= self.n {
-                    return Err(ProtocolError::UnknownUser(id));
-                }
-                if !acks.insert(id) {
-                    return Err(ProtocolError::DuplicateMessage(id));
-                }
-                Ok(Vec::new())
-            }
-            Envelope::RatchetWindowCommit(ack) => {
-                let Some((round, fingerprint, acks)) = self.window.as_mut() else {
-                    return Err(ProtocolError::RatchetMismatch);
-                };
-                if ack.round != *round {
-                    return Err(ProtocolError::StaleRound {
-                        got: ack.round,
-                        current: *round,
-                    });
-                }
-                if ack.fingerprint != *fingerprint {
-                    return Err(ProtocolError::RatchetMismatch);
-                }
-                let id = ack.from as usize;
-                if id >= self.n {
-                    return Err(ProtocolError::UnknownUser(id));
-                }
-                if !acks.insert(id) {
-                    return Err(ProtocolError::DuplicateMessage(id));
-                }
-                Ok(Vec::new())
+            Envelope::RatchetAnnouncement(_) | Envelope::RatchetWindowCommit(_) => {
+                self.ratchet.ack(&envelope).map(|()| Vec::new())
             }
             other => Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
         }
     }
 
     fn poll_output(&mut self) -> Option<Outgoing<F>> {
-        self.outbox.pop_front()
+        self.ratchet
+            .poll_output()
+            .or_else(|| self.outbox.pop_front())
     }
 }
 
@@ -1152,5 +965,59 @@ mod tests {
         assert!(server.aggregate().is_none());
         assert_eq!(server.recover().unwrap(), vec![Fp61::from_u64(6); 6]);
         assert_eq!(server.aggregate().unwrap(), vec![Fp61::from_u64(6); 6]);
+    }
+
+    #[test]
+    fn buffered_ratchet_acks_must_come_from_exactly_the_cohort() {
+        // cohort {0, 1, 2, 3} of n = 5: the ack of non-member 4 is
+        // rejected, and cannot stand in for member 3's missing one
+        use crate::ratchet::{RatchetAnnouncement, RatchetWindowCommit};
+        let cfg = LsaConfig::new(5, 1, 3, 6).unwrap();
+        let staleness = QuantizedStaleness::new(lsa_quantize::StalenessFn::Constant, 1);
+        let cohort: std::collections::BTreeSet<usize> = (0..4).collect();
+        for window in [false, true] {
+            let mut server =
+                AsyncServerSession::<Fp61>::new(cfg, 5, staleness, StdRng::seed_from_u64(5))
+                    .unwrap();
+            let topology = window.then_some(PadTopology::Hypercube);
+            let nonces = if window { vec![7, 8] } else { vec![7] };
+            let commit = Commit {
+                round: 1,
+                fingerprint: 9,
+                nonces,
+                topology,
+            };
+            server.tracker().commit(commit, &cohort);
+            for from in [0, 1, 2, 4] {
+                let ack = if window {
+                    Envelope::RatchetWindowCommit(RatchetWindowCommit {
+                        from,
+                        group: 0,
+                        round: 1,
+                        fingerprint: 9,
+                        topology: PadTopology::Hypercube,
+                        nonces: Vec::new(),
+                    })
+                } else {
+                    Envelope::RatchetAnnouncement(RatchetAnnouncement {
+                        from,
+                        group: 0,
+                        round: 1,
+                        nonce: 7,
+                        fingerprint: 9,
+                    })
+                };
+                let result = server.handle(ack);
+                if from == 4 {
+                    assert!(matches!(result, Err(ProtocolError::UnknownUser(4))));
+                } else {
+                    assert!(result.is_ok(), "member {from}: {result:?}");
+                }
+            }
+            assert!(matches!(
+                server.tracker().ready(1),
+                Err(ProtocolError::RatchetMismatch)
+            ));
+        }
     }
 }

@@ -75,6 +75,52 @@ fn window_commits(fed: &SyncFederation<Fp61, MemTransport>) -> usize {
         .kind_count(EnvelopeKind::RatchetWindowCommit)
 }
 
+/// A leaf of either variant, with its transport's envelope tally.
+trait Leaf: SecureAggregator<Fp61> {
+    fn kind_count(&self, kind: EnvelopeKind) -> usize;
+    /// Envelopes of the variant's full offline exchange so far.
+    fn mask_shares(&self) -> usize;
+    fn poison(&mut self, id: usize, fingerprint: u64);
+}
+
+impl Leaf for SyncFederation<Fp61, MemTransport> {
+    fn kind_count(&self, kind: EnvelopeKind) -> usize {
+        self.transport().kind_count(kind)
+    }
+    fn mask_shares(&self) -> usize {
+        self.kind_count(EnvelopeKind::CodedMaskShare)
+    }
+    fn poison(&mut self, id: usize, fingerprint: u64) {
+        self.poison_ratchet(id, fingerprint);
+    }
+}
+
+impl Leaf for BufferedFederation<Fp61, MemTransport> {
+    fn kind_count(&self, kind: EnvelopeKind) -> usize {
+        self.transport().kind_count(kind)
+    }
+    fn mask_shares(&self) -> usize {
+        self.kind_count(EnvelopeKind::TimestampedShare)
+    }
+    fn poison(&mut self, id: usize, fingerprint: u64) {
+        self.poison_ratchet(id, fingerprint);
+    }
+}
+
+/// Both leaf variants, seeded alike.
+fn leaves(seed: u64) -> Vec<(&'static str, Box<dyn Leaf>)> {
+    vec![
+        (
+            "sync",
+            Box::new(SyncFederation::new(cfg(), MemTransport::new(), seed).unwrap()),
+        ),
+        (
+            "buffered",
+            Box::new(BufferedFederation::unit_weight(cfg(), MemTransport::new(), seed).unwrap()),
+        ),
+    ]
+}
+
 /// A 12-round stable stretch on the legacy per-round path (`W = 1`):
 /// after the base round, not one more `CodedMaskShare` crosses the
 /// wire, the only offline traffic is the commit/ack handshake, and
@@ -221,28 +267,29 @@ fn churn_mid_stretch_falls_back_then_ratchets_again() {
 #[test]
 fn poisoned_fingerprint_falls_back_to_full_exchange() {
     requires_ratchet!();
-    let mut fed = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 13).unwrap();
-    let cohort: Vec<usize> = (0..8).collect();
+    for (name, mut fed) in leaves(13) {
+        let cohort: Vec<usize> = (0..8).collect();
 
-    run_round(&mut fed, &cohort, &[]).unwrap();
-    fed.poison_ratchet(2, 0xDEAD_BEEF);
+        run_round(&mut *fed, &cohort, &[]).unwrap();
+        fed.poison(2, 0xDEAD_BEEF);
 
-    let s0 = coded_shares(&fed);
-    let out = run_round(&mut fed, &cohort, &[]).unwrap();
-    assert!(
-        coded_shares(&fed) > s0,
-        "a failed handshake must fall back to the full exchange"
-    );
-    assert_eq!(out.aggregate, expected_sum(&cohort, 1));
+        let s0 = fed.mask_shares();
+        let out = run_round(&mut *fed, &cohort, &[]).unwrap();
+        assert!(
+            fed.mask_shares() > s0,
+            "{name}: a failed handshake must fall back to the full exchange"
+        );
+        assert_eq!(out.aggregate, expected_sum(&cohort, 1), "{name}");
 
-    let s1 = coded_shares(&fed);
-    let out = run_round(&mut fed, &cohort, &[]).unwrap();
-    assert_eq!(
-        coded_shares(&fed),
-        s1,
-        "the re-keyed base must ratchet again"
-    );
-    assert_eq!(out.aggregate, expected_sum(&cohort, 2));
+        let s1 = fed.mask_shares();
+        let out = run_round(&mut *fed, &cohort, &[]).unwrap();
+        assert_eq!(
+            fed.mask_shares(),
+            s1,
+            "{name}: the re-keyed base must ratchet again"
+        );
+        assert_eq!(out.aggregate, expected_sum(&cohort, 2), "{name}");
+    }
 }
 
 /// An after-upload dropout during a *ratcheted* round: recovery decodes
@@ -270,37 +317,42 @@ fn after_upload_dropout_in_ratcheted_round_decodes_exactly() {
 #[test]
 fn before_upload_dropout_falls_back_via_typed_mismatch() {
     requires_ratchet!();
-    let mut sync = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 19).unwrap();
-    // explicitly hypercube: the sparse edge set must fall back exactly
-    // like the clique when a member vanishes before uploading
-    sync.set_pad_topology(PadTopology::Hypercube);
-    let mut fed = Federation::new(Box::new(sync));
-    let cohort: Vec<usize> = (0..8).collect();
+    for (name, mut leaf) in leaves(19) {
+        // explicitly hypercube: the sparse edge set must fall back
+        // exactly like the clique when a member vanishes before
+        // uploading
+        leaf.set_pad_topology(PadTopology::Hypercube);
+        let mut fed = Federation::new(leaf);
+        let cohort: Vec<usize> = (0..8).collect();
 
-    let mut plan = RoundPlan::new(cohort.clone());
-    for &id in &cohort {
-        plan = plan.with_update(id, update(id, 0));
-    }
-    assert_eq!(fed.run_round(&plan).unwrap().round, 0);
+        let mut plan = RoundPlan::new(cohort.clone());
+        for &id in &cohort {
+            plan = plan.with_update(id, update(id, 0));
+        }
+        assert_eq!(fed.run_round(&plan).unwrap().round, 0, "{name}");
 
-    // round 1 would ratchet, but member 5 never uploads
-    let submitters: Vec<usize> = cohort.iter().copied().filter(|&id| id != 5).collect();
-    let mut plan = RoundPlan::new(cohort.clone());
-    for &id in &submitters {
-        plan = plan.with_update(id, update(id, 2));
-    }
-    let out = fed.run_round(&plan).unwrap();
-    assert_eq!(out.round, 2, "the failed ratcheted round number is burned");
-    assert_eq!(out.contributors, submitters);
-    assert_eq!(out.aggregate, expected_sum(&submitters, 2));
+        // round 1 would ratchet, but member 5 never uploads
+        let submitters: Vec<usize> = cohort.iter().copied().filter(|&id| id != 5).collect();
+        let mut plan = RoundPlan::new(cohort.clone());
+        for &id in &submitters {
+            plan = plan.with_update(id, update(id, 2));
+        }
+        let out = fed.run_round(&plan).unwrap();
+        assert_eq!(
+            out.round, 2,
+            "{name}: the failed ratcheted round number is burned"
+        );
+        assert_eq!(out.contributors, submitters, "{name}");
+        assert_eq!(out.aggregate, expected_sum(&submitters, 2), "{name}");
 
-    // and the federation keeps working afterwards
-    let mut plan = RoundPlan::new(cohort.clone());
-    for &id in &cohort {
-        plan = plan.with_update(id, update(id, 3));
+        // and the federation keeps working afterwards
+        let mut plan = RoundPlan::new(cohort.clone());
+        for &id in &cohort {
+            plan = plan.with_update(id, update(id, 3));
+        }
+        let out = fed.run_round(&plan).unwrap();
+        assert_eq!(out.aggregate, expected_sum(&cohort, 3), "{name}");
     }
-    let out = fed.run_round(&plan).unwrap();
-    assert_eq!(out.aggregate, expected_sum(&cohort, 3));
 }
 
 /// A plan pinned to a stale [`CohortFingerprint`] fails typed without
@@ -420,45 +472,62 @@ fn buffered_variant_joins_windows() {
 #[test]
 fn churn_mid_window_purges_banked_nonces_and_rekeys() {
     requires_ratchet!();
-    let mut fed = SyncFederation::<Fp61, _>::new(cfg(), MemTransport::new(), 43).unwrap();
-    fed.set_pad_topology(PadTopology::Hypercube);
-    fed.set_commit_window(6);
-    let full: Vec<usize> = (0..8).collect();
-    let reduced: Vec<usize> = (0..7).collect();
+    for (name, mut fed) in leaves(43) {
+        fed.set_pad_topology(PadTopology::Hypercube);
+        fed.set_commit_window(6);
+        let full: Vec<usize> = (0..8).collect();
+        let reduced: Vec<usize> = (0..7).collect();
 
-    run_round(&mut fed, &full, &[]).unwrap();
-    // round 1 opens a window banking nonces for rounds 2..=6
-    run_round(&mut fed, &full, &[]).unwrap();
-    assert_eq!(fed.round_report().unwrap().events.ratchets, 1);
-    let s0 = coded_shares(&fed);
+        run_round(&mut *fed, &full, &[]).unwrap();
+        // round 1 opens a window banking nonces for rounds 2..=6
+        run_round(&mut *fed, &full, &[]).unwrap();
+        assert_eq!(fed.round_report().unwrap().events.ratchets, 1, "{name}");
+        let s0 = fed.mask_shares();
 
-    // member 7 churns away mid-window: the banked nonces are dead
-    let out = run_round(&mut fed, &reduced, &[]).unwrap();
-    assert!(
-        coded_shares(&fed) > s0,
-        "a churned round inside a window must re-key with a full exchange"
-    );
-    let report = fed.round_report().unwrap();
-    assert_eq!(report.events.ratchets + report.events.windowed_ratchets, 0);
-    assert_eq!(out.aggregate, expected_sum(&reduced, 2));
+        // member 7 churns away mid-window: the banked nonces are dead
+        let out = run_round(&mut *fed, &reduced, &[]).unwrap();
+        assert!(
+            fed.mask_shares() > s0,
+            "{name}: a churned round inside a window must re-key with a full exchange"
+        );
+        let report = fed.round_report().unwrap();
+        assert_eq!(
+            report.events.ratchets + report.events.windowed_ratchets,
+            0,
+            "{name}"
+        );
+        assert_eq!(out.aggregate, expected_sum(&reduced, 2), "{name}");
 
-    // the reduced cohort opens a fresh window...
-    let commits_before = window_commits(&fed);
-    let out = run_round(&mut fed, &reduced, &[]).unwrap();
-    assert_eq!(fed.round_report().unwrap().events.ratchets, 1);
-    assert_eq!(window_commits(&fed), commits_before + 2 * 7);
-    assert_eq!(out.aggregate, expected_sum(&reduced, 3));
+        // the reduced cohort opens a fresh window...
+        let commits_before = fed.kind_count(EnvelopeKind::RatchetWindowCommit);
+        let out = run_round(&mut *fed, &reduced, &[]).unwrap();
+        assert_eq!(fed.round_report().unwrap().events.ratchets, 1, "{name}");
+        assert_eq!(
+            fed.kind_count(EnvelopeKind::RatchetWindowCommit),
+            commits_before + 2 * 7,
+            "{name}"
+        );
+        assert_eq!(out.aggregate, expected_sum(&reduced, 3), "{name}");
 
-    // ...and the round after joins it with zero offline traffic
-    let bytes_before = fed.bytes_sent();
-    let round = fed.open_round(&reduced).unwrap();
-    assert_eq!(fed.bytes_sent(), bytes_before, "window join is wire-silent");
-    for &id in &reduced {
-        fed.submit(id, &update(id, round)).unwrap();
+        // ...and the round after joins it with zero offline traffic
+        let bytes_before = fed.bytes_sent();
+        let round = fed.open_round(&reduced).unwrap();
+        assert_eq!(
+            fed.bytes_sent(),
+            bytes_before,
+            "{name}: window join is wire-silent"
+        );
+        for &id in &reduced {
+            fed.submit(id, &update(id, round)).unwrap();
+        }
+        let out = fed.finish_round().unwrap();
+        assert_eq!(
+            fed.round_report().unwrap().events.windowed_ratchets,
+            1,
+            "{name}"
+        );
+        assert_eq!(out.aggregate, expected_sum(&reduced, 4), "{name}");
     }
-    let out = fed.finish_round().unwrap();
-    assert_eq!(fed.round_report().unwrap().events.windowed_ratchets, 1);
-    assert_eq!(out.aggregate, expected_sum(&reduced, 4));
 }
 
 /// In an aggregator tree, a stable subtree keeps ratcheting even while
