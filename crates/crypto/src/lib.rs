@@ -95,7 +95,17 @@ impl FieldPrg {
 
     /// Generate `len` uniformly random field elements.
     pub fn expand<F: Field>(&mut self, len: usize) -> Vec<F> {
-        (0..len).map(|_| self.next_element()).collect()
+        let mut out = vec![F::ZERO; len];
+        self.fill(&mut out);
+        out
+    }
+
+    /// Overwrite `out` with the next `out.len()` elements — the same
+    /// stream [`Self::expand`] returns, into a caller-owned buffer.
+    pub fn fill<F: Field>(&mut self, out: &mut [F]) {
+        for x in out {
+            *x = self.next_element();
+        }
     }
 
     /// Generate the next single field element.
@@ -130,6 +140,23 @@ mod tests {
         let a: Vec<Fp32> = FieldPrg::new(seed).expand(100);
         let b: Vec<Fp32> = FieldPrg::new(seed).expand(100);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fill_equals_expand() {
+        let seed = Seed::from_label(b"fill");
+        let want: Vec<Fp61> = FieldPrg::new(seed).expand(37);
+        // a dirty buffer: fill must overwrite, not accumulate
+        let mut got = vec![Fp61::ONE; 37];
+        FieldPrg::new(seed).fill(&mut got);
+        assert_eq!(got, want);
+        // successive fills continue one stream
+        let mut prg = FieldPrg::new(seed);
+        let (mut head, mut tail) = (vec![Fp32::ZERO; 5], vec![Fp32::ZERO; 9]);
+        prg.fill(&mut head);
+        prg.fill(&mut tail);
+        head.extend(tail);
+        assert_eq!(head, FieldPrg::new(seed).expand::<Fp32>(14));
     }
 
     #[test]

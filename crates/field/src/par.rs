@@ -17,7 +17,9 @@
 //! [`std::thread::available_parallelism`]. `LSA_THREADS=1` forces every
 //! helper to run inline on the caller's thread. Tests and benches can
 //! scope an override with [`with_threads`] without touching the
-//! environment.
+//! environment. A fork over `n` workers spawns `n − 1` scoped threads
+//! and runs the last block on the calling thread, joining every thread
+//! before it returns.
 //!
 //! # Determinism
 //!
@@ -82,17 +84,78 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-fn mark_worker() {
-    IN_POOL.with(|c| c.set(true));
-}
-
 /// Thread state a forked worker inherits from the forking thread: the
 /// worker flag (suppresses nested forking) plus the caller's scoped
 /// [`crate::simd::with_backend`] pin, so a kernel forced onto one
 /// backend stays on it across the pool.
 fn mark_worker_from(simd_pin: Option<crate::simd::Backend>) {
-    mark_worker();
+    IN_POOL.with(|c| c.set(true));
     crate::simd::set_override(simd_pin);
+}
+
+/// Marks the calling thread as a worker while it runs its own share of
+/// a fork, restoring the previous flag on drop — also when the share
+/// panics, so a caught panic never leaves the thread stuck serial.
+struct InPoolGuard(bool);
+
+impl InPoolGuard {
+    fn enter() -> Self {
+        InPoolGuard(IN_POOL.with(|c| c.replace(true)))
+    }
+}
+
+impl Drop for InPoolGuard {
+    fn drop(&mut self) {
+        IN_POOL.with(|c| c.set(self.0));
+    }
+}
+
+/// Run `run` once per part: every part but the last on its own scoped
+/// thread, the last on the calling thread.
+///
+/// Every spawned thread is joined explicitly before this returns.
+/// [`std::thread::scope`] alone only waits for the threads' closures,
+/// and a thread that has not yet exited still holds its malloc arena,
+/// so the next fork's fresh threads would open new arenas and grow the
+/// heap call after call. A worker's panic resumes on the caller once
+/// every thread has been joined.
+fn fork_join<P, I, F>(parts: I, run: F)
+where
+    P: Send,
+    I: IntoIterator<Item = P>,
+    F: Fn(P) + Sync,
+{
+    let simd_pin = crate::simd::current_override();
+    let run = &run;
+    let mut parts: Vec<P> = parts.into_iter().collect();
+    let own = parts.pop();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = parts
+            .into_iter()
+            .map(|part| {
+                s.spawn(move || {
+                    mark_worker_from(simd_pin);
+                    run(part);
+                })
+            })
+            .collect();
+        if let Some(part) = own {
+            let _in_pool = InPoolGuard::enter();
+            run(part);
+        }
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
+/// The sizes of `workers` contiguous blocks covering `n` items, the
+/// first `n % workers` one larger.
+fn block_sizes(n: usize, workers: usize) -> impl Iterator<Item = usize> {
+    let (base, extra) = (n / workers, n % workers);
+    (0..workers).map(move |w| base + usize::from(w < extra))
 }
 
 /// Apply `f(start_offset, sub_slice)` over contiguous partitions of
@@ -112,26 +175,16 @@ where
         f(0, data);
         return;
     }
-    let n = data.len();
-    let base = n / workers;
-    let extra = n % workers;
-    let simd_pin = crate::simd::current_override();
-    std::thread::scope(|s| {
-        let mut rest = data;
-        let mut offset = 0;
-        for w in 0..workers {
-            let take = base + usize::from(w < extra);
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let f = &f;
-            let start = offset;
-            s.spawn(move || {
-                mark_worker_from(simd_pin);
-                f(start, head);
-            });
-            offset += take;
-        }
+    let mut rest = data;
+    let mut offset = 0;
+    let parts = block_sizes(rest.len(), workers).map(move |take| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
+        rest = tail;
+        let start = offset;
+        offset += take;
+        (start, head)
     });
+    fork_join(parts, |(start, chunk)| f(start, chunk));
 }
 
 /// Map `f` over independent read-only tasks, preserving order.
@@ -150,25 +203,18 @@ where
         return items.iter().map(f).collect();
     }
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let base = items.len() / workers;
-    let extra = items.len() % workers;
-    let simd_pin = crate::simd::current_override();
-    std::thread::scope(|s| {
-        let mut items_rest = items;
-        let mut out_rest = &mut out[..];
-        for w in 0..workers {
-            let take = base + usize::from(w < extra);
-            let (ih, it) = items_rest.split_at(take);
-            let (oh, ot) = out_rest.split_at_mut(take);
-            items_rest = it;
-            out_rest = ot;
-            let f = &f;
-            s.spawn(move || {
-                mark_worker_from(simd_pin);
-                for (item, slot) in ih.iter().zip(oh) {
-                    *slot = Some(f(item));
-                }
-            });
+    let mut items_rest = items;
+    let mut out_rest = &mut out[..];
+    let parts = block_sizes(items.len(), workers).map(move |take| {
+        let (ih, it) = items_rest.split_at(take);
+        let (oh, ot) = std::mem::take(&mut out_rest).split_at_mut(take);
+        items_rest = it;
+        out_rest = ot;
+        (ih, oh)
+    });
+    fork_join(parts, |(ih, oh)| {
+        for (item, slot) in ih.iter().zip(oh) {
+            *slot = Some(f(item));
         }
     });
     out.into_iter()
@@ -191,25 +237,18 @@ where
     }
     let n = items.len();
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let base = n / workers;
-    let extra = n % workers;
-    let simd_pin = crate::simd::current_override();
-    std::thread::scope(|s| {
-        let mut items_rest = items;
-        let mut out_rest = &mut out[..];
-        for w in 0..workers {
-            let take = base + usize::from(w < extra);
-            let (ih, it) = items_rest.split_at_mut(take);
-            let (oh, ot) = out_rest.split_at_mut(take);
-            items_rest = it;
-            out_rest = ot;
-            let f = &f;
-            s.spawn(move || {
-                mark_worker_from(simd_pin);
-                for (item, slot) in ih.iter_mut().zip(oh) {
-                    *slot = Some(f(item));
-                }
-            });
+    let mut items_rest = items;
+    let mut out_rest = &mut out[..];
+    let parts = block_sizes(n, workers).map(move |take| {
+        let (ih, it) = std::mem::take(&mut items_rest).split_at_mut(take);
+        let (oh, ot) = std::mem::take(&mut out_rest).split_at_mut(take);
+        items_rest = it;
+        out_rest = ot;
+        (ih, oh)
+    });
+    fork_join(parts, |(ih, oh)| {
+        for (item, slot) in ih.iter_mut().zip(oh) {
+            *slot = Some(f(item));
         }
     });
     out.into_iter()
@@ -275,6 +314,39 @@ mod tests {
             });
         });
         assert_eq!(inner_counts.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn every_task_runs_serial_including_the_callers_block() {
+        // 9 tasks over 4 workers: the last block (tasks 7 and 8) runs on
+        // the calling thread, which must count as in-pool too
+        let caller = std::thread::current().id();
+        let mut tasks: Vec<usize> = (0..9).collect();
+        let seen = with_threads(4, || {
+            let seen = par_map_mut(&mut tasks, |_| (num_threads(), std::thread::current().id()));
+            assert_eq!(num_threads(), 4, "outer count restored");
+            seen
+        });
+        assert!(seen.iter().all(|&(n, _)| n == 1), "{seen:?}");
+        assert!(seen[7..].iter().all(|&(_, id)| id == caller));
+        assert!(seen[..7].iter().all(|&(_, id)| id != caller));
+    }
+
+    #[test]
+    fn a_panicking_task_leaves_the_thread_count_intact() {
+        for panicking in [0usize, 8] {
+            // task 0 panics on a spawned worker, task 8 on the caller
+            let mut tasks: Vec<usize> = (0..9).collect();
+            with_threads(4, || {
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    par_map_mut(&mut tasks, |&mut i| {
+                        assert_ne!(i, panicking, "task {i} panics");
+                    })
+                }));
+                assert!(caught.is_err(), "the task's panic reaches the caller");
+                assert_eq!(num_threads(), 4, "outer count restored after panic");
+            });
+        }
     }
 
     #[test]

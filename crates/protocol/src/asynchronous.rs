@@ -346,6 +346,7 @@ impl<F: Field> AsyncClient<F> {
             .map(|&(j, _)| j)
             .collect();
         let mut mask = base_mask.clone();
+        let mut pad = vec![F::ZERO; mask.len()];
         for j in topology.partners(&peers, self.id) {
             if j == self.id {
                 continue;
@@ -354,17 +355,9 @@ impl<F: Field> AsyncClient<F> {
                 return Err(ProtocolError::RatchetMismatch);
             };
             let recv = &self.received[&(j, base_round)];
-            crate::ratchet::add_pair_pad(
-                &mut mask,
-                0,
-                base_round,
-                self.pad_epoch,
-                nonce,
-                self.id,
-                j,
-                sent,
-                recv,
-            );
+            let edge =
+                crate::ratchet::edge_seed(0, base_round, self.pad_epoch, self.id, j, sent, recv);
+            crate::ratchet::add_edge_pad(&mut mask, &mut pad, edge, nonce, self.id, j);
         }
         for &j in &peers {
             let share = self.received[&(j, base_round)].clone();

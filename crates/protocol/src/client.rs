@@ -4,9 +4,11 @@ use crate::config::LsaConfig;
 use crate::messages::{AggregatedShare, CodedMaskShare, MaskedModel};
 use crate::ProtocolError;
 use lsa_coding::{vandermonde, VandermondeCode};
+use lsa_crypto::Seed;
 use lsa_field::Field;
 use rand::Rng;
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 /// A LightSecAgg user.
 ///
@@ -39,17 +41,23 @@ pub struct Client<F> {
     cfg: LsaConfig,
     group: usize,
     round: u64,
-    code: VandermondeCode<F>,
+    // The code and the share material are shared, not copied, by the
+    // clients ratcheted from this one.
+    code: Arc<VandermondeCode<F>>,
     /// The local random mask `z_i`, padded length.
     mask: Vec<F>,
     /// Own coded segments `[~z_i]_j` for every `j ∈ [N]` (including self).
-    coded_for: Vec<Vec<F>>,
+    coded_for: Arc<Vec<Vec<F>>>,
     /// Received coded segments `[~z_j]_i`, keyed by sender `j`.
-    received: BTreeMap<usize, Vec<F>>,
+    received: Arc<BTreeMap<usize, Vec<F>>>,
     /// Pad epoch for ratchet pads derived from this state: 0 at the
     /// base exchange, evolved in lockstep across the cohort by
     /// [`Client::bump_pad_epoch`] on a reseat ([`crate::ratchet`]).
     pad_epoch: u64,
+    /// Ratchet edge seeds ([`crate::ratchet::edge_seed`]) by peer id,
+    /// each derived on first use and valid for the current `pad_epoch`.
+    /// Empty on a ratcheted client, which is never a base.
+    edge_seeds: Vec<OnceLock<Seed>>,
 }
 
 impl<F: Field> Client<F> {
@@ -129,11 +137,12 @@ impl<F: Field> Client<F> {
             cfg,
             group,
             round,
-            code,
+            code: Arc::new(code),
             mask,
-            coded_for,
-            received,
+            coded_for: Arc::new(coded_for),
+            received: Arc::new(received),
             pad_epoch: 0,
+            edge_seeds: (0..cfg.n()).map(|_| OnceLock::new()).collect(),
         })
     }
 
@@ -153,6 +162,11 @@ impl<F: Field> Client<F> {
     /// `⌈log₂ n_g⌉` edges of this member's cohort rank. The retained
     /// share material (`coded_for` / `received`) is carried over
     /// unchanged either way, so recovery still decodes `Σ m_i`.
+    ///
+    /// The derived client shares the base's code and share material
+    /// instead of copying it, and the base keeps each edge seed after
+    /// its first use, so later rounds hash no share material: each edge
+    /// costs one PRG expansion into a scratch pad reused across edges.
     pub(crate) fn ratcheted_from(
         base: &Self,
         round: u64,
@@ -161,29 +175,42 @@ impl<F: Field> Client<F> {
     ) -> Self {
         let members: Vec<usize> = base.received.keys().copied().collect();
         let mut mask = base.mask.clone();
+        let mut pad = vec![F::ZERO; mask.len()];
         for peer in topology.partners(&members, base.id) {
-            crate::ratchet::add_pair_pad(
-                &mut mask,
-                base.group,
-                base.round,
-                base.pad_epoch,
-                nonce,
-                base.id,
-                peer,
-                &base.coded_for[peer],
-                &base.received[&peer],
-            );
+            let edge = base.edge_seed(peer);
+            crate::ratchet::add_edge_pad(&mut mask, &mut pad, edge, nonce, base.id, peer);
         }
         Self {
             id: base.id,
             cfg: base.cfg,
             group: base.group,
             round,
-            code: base.code.clone(),
+            code: Arc::clone(&base.code),
             mask,
-            coded_for: base.coded_for.clone(),
-            received: base.received.clone(),
+            coded_for: Arc::clone(&base.coded_for),
+            received: Arc::clone(&base.received),
             pad_epoch: base.pad_epoch,
+            edge_seeds: Vec::new(),
+        }
+    }
+
+    /// The ratchet edge seed towards `peer` under the current pad
+    /// epoch, from the cache when this client has one.
+    fn edge_seed(&self, peer: usize) -> Seed {
+        let derive = || {
+            crate::ratchet::edge_seed(
+                self.group,
+                self.round,
+                self.pad_epoch,
+                self.id,
+                peer,
+                &self.coded_for[peer],
+                &self.received[&peer],
+            )
+        };
+        match self.edge_seeds.get(peer) {
+            Some(cell) => *cell.get_or_init(derive),
+            None => derive(),
         }
     }
 
@@ -191,9 +218,13 @@ impl<F: Field> Client<F> {
     /// mask and share material — the recovery-critical state — are
     /// untouched; only future ratchet pads derive under the new epoch.
     /// Every member of a leaf must bump with the same `seed` so the
-    /// refreshed pads still cancel.
+    /// refreshed pads still cancel. The cached edge seeds belong to the
+    /// old epoch and are dropped.
     pub(crate) fn bump_pad_epoch(&mut self, seed: u64) {
         self.pad_epoch = crate::ratchet::reseat_epoch(self.pad_epoch, seed);
+        for cell in &mut self.edge_seeds {
+            cell.take();
+        }
     }
 
     /// The peers this client holds base shares from (its ratchetable
@@ -287,7 +318,8 @@ impl<F: Field> Client<F> {
         if self.received.contains_key(&share.from) {
             return Err(ProtocolError::DuplicateMessage(share.from));
         }
-        self.received.insert(share.from, share.payload);
+        // the sole owner during the exchange, so this never copies
+        Arc::make_mut(&mut self.received).insert(share.from, share.payload);
         Ok(())
     }
 
@@ -537,6 +569,85 @@ mod tests {
         for (b, a) in before.iter().zip(&after) {
             assert_ne!(b.mask, a.mask, "epoch must refresh the edge secrets");
         }
+    }
+
+    /// The ratcheted mask of `c` computed straight from the definition:
+    /// `pair_seed → derive(epoch) → derive(nonce) → expand` per edge,
+    /// with no cache involved.
+    fn reference_mask(
+        c: &Client<Fp61>,
+        nonce: u64,
+        topology: crate::ratchet::PadTopology,
+    ) -> Vec<Fp61> {
+        let mut mask = c.mask.clone();
+        for peer in topology.partners(&c.share_peers(), c.id) {
+            let (sent, recv) = (&c.coded_for[peer], &c.received[&peer]);
+            let (lo, hi, lo_to_hi, hi_to_lo) = if c.id < peer {
+                (c.id, peer, sent, recv)
+            } else {
+                (peer, c.id, recv, sent)
+            };
+            let seed = crate::ratchet::pair_seed(c.group, c.round, lo, hi, lo_to_hi, hi_to_lo)
+                .derive(c.pad_epoch)
+                .derive(nonce);
+            let pad: Vec<Fp61> = lsa_crypto::FieldPrg::new(seed).expand(mask.len());
+            if c.id < peer {
+                lsa_field::ops::add_assign(&mut mask, &pad);
+            } else {
+                lsa_field::ops::sub_assign(&mut mask, &pad);
+            }
+        }
+        mask
+    }
+
+    #[test]
+    fn cached_edge_seeds_match_the_reference_chain_across_epochs() {
+        use crate::ratchet::PadTopology;
+        for topology in [PadTopology::Clique, PadTopology::Hypercube] {
+            let mut rng = StdRng::seed_from_u64(10);
+            // a non-zero group and base round, so both are really bound
+            let mut clients: Vec<Client<Fp61>> = (0..5)
+                .map(|i| Client::for_round_in_group(i, 5, 3, cfg(), &mut rng).unwrap())
+                .collect();
+            let shares: Vec<_> = clients.iter().flat_map(|c| c.outgoing_shares()).collect();
+            for s in shares {
+                clients[s.to].receive_share(s).unwrap();
+            }
+            for (epoch_seed, nonces) in [(None, [11, 12]), (Some(0xBEEF), [11, 13])] {
+                if let Some(seed) = epoch_seed {
+                    for c in clients.iter_mut() {
+                        c.bump_pad_epoch(seed);
+                    }
+                }
+                // the first nonce fills the cache, the second reads it
+                for nonce in nonces {
+                    for c in &clients {
+                        let got = Client::ratcheted_from(c, 6, nonce, topology);
+                        assert_eq!(
+                            got.mask,
+                            reference_mask(c, nonce, topology),
+                            "{topology:?}, epoch {}, nonce {nonce}, client {}",
+                            c.pad_epoch,
+                            c.id
+                        );
+                    }
+                }
+                assert!(
+                    clients[0].edge_seeds.iter().any(|s| s.get().is_some()),
+                    "the ratchet went through the cache"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ratcheted_client_shares_the_base_material() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let base = Client::<Fp61>::new(0, cfg(), &mut rng).unwrap();
+        let derived = Client::ratcheted_from(&base, 1, 3, crate::ratchet::PadTopology::Clique);
+        assert!(Arc::ptr_eq(&base.code, &derived.code));
+        assert!(Arc::ptr_eq(&base.coded_for, &derived.coded_for));
+        assert!(Arc::ptr_eq(&base.received, &derived.received));
     }
 
     #[test]

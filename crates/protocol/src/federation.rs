@@ -521,9 +521,11 @@ impl<F: Field> LeafClient<F> for FederationClient<F> {
         self.pending.remove(&round);
     }
 
+    /// The finished session is moved into the bank, not copied: the
+    /// retire that follows the harvest would drop it anyway.
     fn harvest_ratchet(&mut self, round: u64, fingerprint: u64) {
-        if let Some(session) = self.sessions.get(&round) {
-            self.bank.retain(session.client().clone(), fingerprint);
+        if let Some(session) = self.sessions.remove(&round) {
+            self.bank.retain(session.into_client(), fingerprint);
         }
     }
 
@@ -1089,7 +1091,9 @@ pub(crate) mod seam {
         /// ratcheted round.
         fn forget_round(&mut self, round: u64);
         /// Retain finished, fully-exchanged `round` as the ratchet base
-        /// of the cohort fingerprinted by `fingerprint`.
+        /// of the cohort fingerprinted by `fingerprint`. Called just
+        /// before [`Self::retire`] drops the round, so an implementation
+        /// may take the round's state instead of copying it.
         fn harvest_ratchet(&mut self, round: u64, fingerprint: u64);
         /// Derive `round` from the nonce a window commit banked, with
         /// zero wire traffic.

@@ -382,39 +382,49 @@ pub(crate) fn pair_seed<F: Field>(
     Seed(sha256::digest(&buf))
 }
 
-/// Add client `id`'s pairwise pad against `peer` for the given nonce
-/// into `mask` (in place): `+PRG` if `id` is the lower endpoint of the
-/// edge, `−PRG` if it is the higher one. `sent` is the share `id`
-/// encoded **for** `peer` in the base round, `recv` the share it
-/// received **from** `peer`. `epoch` is the pad-epoch both endpoints
+/// The nonce-independent secret of the edge between client `id` and
+/// `peer`: the [`pair_seed`] under the pad `epoch` both endpoints
 /// evolved in lockstep across reseats ([`reseat_epoch`]; 0 until the
-/// first reseat).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn add_pair_pad<F: Field>(
-    mask: &mut [F],
+/// first reseat). `sent` is the share `id` encoded **for** `peer` in
+/// the base round, `recv` the share it received **from** `peer`; both
+/// endpoints derive the same seed. It depends only on retained base
+/// state, so a base can compute it once and reuse it every round.
+pub(crate) fn edge_seed<F: Field>(
     group: usize,
     base_round: u64,
     epoch: u64,
-    nonce: u64,
     id: usize,
     peer: usize,
     sent: &[F],
     recv: &[F],
-) {
+) -> Seed {
     debug_assert_ne!(id, peer);
     let (lo, hi, lo_to_hi, hi_to_lo) = if id < peer {
         (id, peer, sent, recv)
     } else {
         (peer, id, recv, sent)
     };
-    let seed = pair_seed(group, base_round, lo, hi, lo_to_hi, hi_to_lo)
-        .derive(epoch)
-        .derive(nonce);
-    let pad: Vec<F> = FieldPrg::new(seed).expand(mask.len());
-    if id == lo {
-        lsa_field::ops::add_assign(mask, &pad);
+    pair_seed(group, base_round, lo, hi, lo_to_hi, hi_to_lo).derive(epoch)
+}
+
+/// Add client `id`'s pad on the edge to `peer` for the round `nonce`
+/// into `mask` (in place): `+PRG(edge ‖ nonce)` if `id` is the lower
+/// endpoint, `−PRG(edge ‖ nonce)` if it is the higher one. `edge` is the
+/// [`edge_seed`]; `pad` is scratch space of `mask`'s length, overwritten,
+/// so one buffer serves every edge of a member.
+pub(crate) fn add_edge_pad<F: Field>(
+    mask: &mut [F],
+    pad: &mut [F],
+    edge: Seed,
+    nonce: u64,
+    id: usize,
+    peer: usize,
+) {
+    FieldPrg::new(edge.derive(nonce)).fill(pad);
+    if id < peer {
+        lsa_field::ops::add_assign(mask, pad);
     } else {
-        lsa_field::ops::sub_assign(mask, &pad);
+        lsa_field::ops::sub_assign(mask, pad);
     }
 }
 
@@ -752,16 +762,34 @@ mod tests {
         assert_ne!(base, reseated);
     }
 
+    /// Client `id`'s pad on the edge to `peer`, alone (zero base mask).
+    #[allow(clippy::too_many_arguments)]
+    fn pad_of(
+        len: usize,
+        group: usize,
+        base_round: u64,
+        epoch: u64,
+        nonce: u64,
+        id: usize,
+        peer: usize,
+        sent: &[Fp61],
+        recv: &[Fp61],
+    ) -> Vec<Fp61> {
+        let edge = edge_seed(group, base_round, epoch, id, peer, sent, recv);
+        let mut mask = vec![Fp61::ZERO; len];
+        let mut pad = vec![Fp61::ZERO; len];
+        add_edge_pad(&mut mask, &mut pad, edge, nonce, id, peer);
+        mask
+    }
+
     #[test]
     fn pair_pads_cancel_over_the_edge() {
         let sent: Vec<Fp61> = (0..5).map(Fp61::from_u64).collect();
         let recv: Vec<Fp61> = (10..15).map(Fp61::from_u64).collect();
-        let mut a = vec![Fp61::ZERO; 8];
-        let mut b = vec![Fp61::ZERO; 8];
         // endpoint 2 sent `sent` to 5 and received `recv` from it;
         // endpoint 5 saw the mirror image of the same two vectors
-        add_pair_pad(&mut a, 3, 7, 0, 99, 2, 5, &sent, &recv);
-        add_pair_pad(&mut b, 3, 7, 0, 99, 5, 2, &recv, &sent);
+        let a = pad_of(8, 3, 7, 0, 99, 2, 5, &sent, &recv);
+        let b = pad_of(8, 3, 7, 0, 99, 5, 2, &recv, &sent);
         assert!(a.iter().any(|x| *x != Fp61::ZERO), "pad must be non-zero");
         let sum: Vec<Fp61> = a.iter().zip(&b).map(|(x, y)| *x + *y).collect();
         assert!(sum.iter().all(|x| *x == Fp61::ZERO), "pads must cancel");
@@ -771,14 +799,10 @@ mod tests {
     fn pads_differ_across_nonces_rounds_and_epochs() {
         let sent: Vec<Fp61> = (0..3).map(Fp61::from_u64).collect();
         let recv: Vec<Fp61> = (4..7).map(Fp61::from_u64).collect();
-        let mut n1 = vec![Fp61::ZERO; 6];
-        let mut n2 = vec![Fp61::ZERO; 6];
-        let mut r2 = vec![Fp61::ZERO; 6];
-        let mut e2 = vec![Fp61::ZERO; 6];
-        add_pair_pad(&mut n1, 0, 0, 0, 1, 0, 1, &sent, &recv);
-        add_pair_pad(&mut n2, 0, 0, 0, 2, 0, 1, &sent, &recv);
-        add_pair_pad(&mut r2, 0, 5, 0, 1, 0, 1, &sent, &recv);
-        add_pair_pad(&mut e2, 0, 0, 9, 1, 0, 1, &sent, &recv);
+        let n1 = pad_of(6, 0, 0, 0, 1, 0, 1, &sent, &recv);
+        let n2 = pad_of(6, 0, 0, 0, 2, 0, 1, &sent, &recv);
+        let r2 = pad_of(6, 0, 5, 0, 1, 0, 1, &sent, &recv);
+        let e2 = pad_of(6, 0, 0, 9, 1, 0, 1, &sent, &recv);
         assert_ne!(n1, n2, "nonce must refresh the pad");
         assert_ne!(n1, r2, "base round must domain-separate the pad");
         assert_ne!(n1, e2, "pad epoch must refresh the pad");

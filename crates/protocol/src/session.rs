@@ -201,9 +201,10 @@ impl<F: Field> ClientSession<F> {
         }
     }
 
-    /// The underlying client state (for harvesting ratchet bases).
-    pub(crate) fn client(&self) -> &Client<F> {
-        &self.inner
+    /// Consume the session into its client state (for harvesting
+    /// ratchet bases).
+    pub(crate) fn into_client(self) -> Client<F> {
+        self.inner
     }
 
     /// This client's user index.

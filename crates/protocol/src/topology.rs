@@ -22,10 +22,11 @@
 //!   [`BoxedAggregator`] children (each a [`SyncFederation`] leaf or
 //!   another `GroupedFederation`), so hierarchies nest to arbitrary
 //!   depth — two-level (groups of groups) being the supported, benched
-//!   configuration. `finish_round` fans the per-subtree decodes across
-//!   the scoped worker pool (`LSA_THREADS`) and folds the results in
-//!   serial child order, so the aggregate is bit-identical for any
-//!   thread count.
+//!   configuration. `open_round` fans the per-subtree opens (mask
+//!   exchanges or ratchet derivations) and `finish_round` the
+//!   per-subtree decodes across the scoped worker pool (`LSA_THREADS`);
+//!   results are folded in serial child order, so the aggregate is
+//!   bit-identical for any thread count.
 //!
 //! # Id spaces
 //!
@@ -616,10 +617,13 @@ struct ChildNode<F: Field> {
 /// The driver-facing lifecycle (`open_round → submit* → finish_round`)
 /// is identical to the flat [`SyncFederation`]. Internally every call
 /// splits by the global↔slot mapping and delegates to the child
-/// subtree owning the slot; `finish_round` runs the children on the
-/// scoped worker pool ([`lsa_field::par::par_map_mut`], `LSA_THREADS`)
-/// and folds their aggregates serially in child order — bit-identical
-/// for any thread count. Each subtree owns its own transport (its own
+/// subtree owning the slot. `open_round` and `finish_round` run the
+/// participating children on the scoped worker pool
+/// ([`lsa_field::par::par_map_mut`], `LSA_THREADS`); a failed open
+/// reports the lowest-index child's error and aborts every child that
+/// did open, and the finish folds the aggregates serially in child
+/// order — bit-identical for any thread count. `prepare_next` stays
+/// serial. Each subtree owns its own transport (its own
 /// aggregator link, Turbo-Aggregate style), so one stalled subtree
 /// never blocks another's decode.
 pub struct GroupedFederation<F: Field> {
@@ -870,6 +874,25 @@ impl<F: Field> GroupedFederation<F> {
         Ok((set, participating))
     }
 
+    /// Run `f(c, child)` for every child index `c` in `participating`
+    /// (ascending) on the scoped worker pool, returning the results in
+    /// that order. The subtrees share no state, and a nested node's own
+    /// fan-out runs inline on its worker (nested forking is suppressed),
+    /// so the machine is never oversubscribed.
+    fn par_participating<R: Send>(
+        &mut self,
+        participating: &[usize],
+        f: impl Fn(usize, &mut BoxedAggregator<F>) -> R + Sync,
+    ) -> Vec<R> {
+        let mut refs: Vec<(usize, &mut ChildNode<F>)> = self
+            .children
+            .iter_mut()
+            .enumerate()
+            .filter(|(c, _)| participating.binary_search(c).is_ok())
+            .collect();
+        lsa_field::par::par_map_mut(&mut refs, |(c, child)| f(*c, &mut child.agg))
+    }
+
     /// All leaf wire ids of child `c`.
     fn child_leaf_wires(&self, c: usize) -> Vec<usize> {
         let child = &self.children[c];
@@ -910,18 +933,21 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
         // is touched, leaving every preparation intact for a retry.
         let _ = claim_prepared(&mut self.prepared, round, &cohort)?;
         let per_child = self.split_cohort(&cohort)?;
-        let mut opened: Vec<usize> = Vec::with_capacity(participating.len());
-        for &c in &participating {
-            match self.children[c].agg.open_round(&per_child[c]) {
-                Ok(_) => opened.push(c),
-                Err(e) => {
-                    // leave no child half-open behind a failed open
-                    for &o in &opened {
-                        self.children[o].agg.abort_round();
-                    }
-                    return Err(e);
+        // Fan the per-subtree opens (mask exchange or ratchet derivation)
+        // across the worker pool, as `finish_round` does its decodes.
+        let opened = self.par_participating(&participating, |c, agg| agg.open_round(&per_child[c]));
+        if opened.iter().any(Result::is_err) {
+            // leave no child half-open behind a failed open, and report
+            // the lowest-index failure, as a serial loop would have
+            for (&c, result) in participating.iter().zip(&opened) {
+                if result.is_ok() {
+                    self.children[c].agg.abort_round();
                 }
             }
+            return Err(opened
+                .into_iter()
+                .find_map(Result::err)
+                .expect("an open failed"));
         }
         self.next_round = round + 1;
         self.participating = participating;
@@ -1006,19 +1032,8 @@ impl<F: Field> SecureAggregator<F> for GroupedFederation<F> {
 
         // Fan the per-subtree finishes (upload delivery, survivor
         // announcement, recovery, one-shot decode) across the scoped
-        // worker pool: the subtrees share no state, and a nested
-        // GroupedFederation's own fan-out runs inline on its worker
-        // (nested forking is suppressed), so the machine is never
-        // oversubscribed. Results are collected in child order.
-        let mut refs: Vec<(usize, &mut ChildNode<F>)> = self
-            .children
-            .iter_mut()
-            .enumerate()
-            .filter(|(c, _)| participating.binary_search(c).is_ok())
-            .collect();
-        let outcomes =
-            lsa_field::par::par_map_mut(&mut refs, |(_, child)| child.agg.finish_round());
-        drop(refs);
+        // worker pool. Results are collected in child order.
+        let outcomes = self.par_participating(&participating, |_, agg| agg.finish_round());
         let results: Vec<(usize, Result<RoundOutcome<F>, ProtocolError>)> =
             participating.iter().copied().zip(outcomes).collect();
 
