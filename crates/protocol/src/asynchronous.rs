@@ -12,6 +12,7 @@
 //! weights `s_{c_g}(τ)` of Eq. (34).
 
 use crate::config::LsaConfig;
+use crate::federation::{drain_to, pump};
 use crate::messages::AggregatedShare;
 use crate::session::{AsyncClientSession, AsyncServerSession};
 use crate::transport::Transport;
@@ -20,7 +21,7 @@ use lsa_coding::{vandermonde, VandermondeCode};
 use lsa_field::Field;
 use lsa_quantize::{QuantizedStaleness, VectorQuantizer};
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A coded mask share tagged with the generation round (Appendix F.3.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -646,19 +647,26 @@ pub struct FlushInput<F> {
     pub update: Vec<F>,
 }
 
-/// Thin driver: run one buffered-asynchronous flush over an explicit
-/// [`Transport`], pumping [`AsyncClientSession`]s and an
-/// [`AsyncServerSession`].
+/// Run one buffered-asynchronous flush over an explicit [`Transport`],
+/// pumping [`AsyncClientSession`]s and an [`AsyncServerSession`].
+///
+/// This is the only driver in which each buffered slot masks under its
+/// *own* stale base round (`inputs[k].round`) — the FedBuff staleness
+/// the Figs 7/11/12 experiments weight. [`crate::BufferedFederation`]
+/// opens every round fresh (`τ = 0`) for the whole cohort; routing
+/// stale slots through it would make the shared leaf driver branch on
+/// its caller, so this flush stays a separate, single-use pump over the
+/// same endpoints.
 ///
 /// Phase boundaries are flushed under the labels `"mask-exchange"`,
 /// `"buffered-upload"`, `"buffer-announce"` and `"async-recovery"`. The
-/// global round is `max` of the input rounds; each session's entropy
+/// global round is `max` of the input rounds; each endpoint's entropy
 /// stream is derived from `rng` at construction, after which message
 /// handling is deterministic.
 ///
 /// # Errors
 ///
-/// Propagates any protocol error from the sessions.
+/// Propagates any protocol error from the endpoints.
 pub fn run_buffered_flush<F: Field, R: Rng + ?Sized, T: Transport<F>>(
     cfg: LsaConfig,
     inputs: &[FlushInput<F>],
@@ -685,6 +693,7 @@ pub fn run_buffered_flush<F: Field, R: Rng + ?Sized, T: Transport<F>>(
         rand::rngs::StdRng::seed_from_u64(rng.gen()),
     )?;
     server.advance_to(now);
+    let everyone: BTreeSet<usize> = (0..n).collect();
 
     // Offline: each contributing slot generates its round mask and the
     // coded shares travel to every peer.
@@ -692,26 +701,26 @@ pub fn run_buffered_flush<F: Field, R: Rng + ?Sized, T: Transport<F>>(
         clients[input.slot].generate_round_mask(input.round)?;
     }
     for client in clients.iter_mut() {
-        crate::drain_session(client, transport)?;
+        drain_to(client, transport, &everyone)?;
     }
     transport.flush("mask-exchange");
-    crate::pump_sessions(transport, &mut server, &mut clients, &[])?;
+    pump(transport, &mut server, &mut clients, &everyone)?;
 
     // Upload: masked, round-stamped updates.
     for input in inputs {
         clients[input.slot].upload_update(input.round, &input.update)?;
-        crate::drain_session(&mut clients[input.slot], transport)?;
+        drain_to(&mut clients[input.slot], transport, &everyone)?;
     }
     transport.flush("buffered-upload");
-    crate::pump_sessions(transport, &mut server, &mut clients, &[])?;
+    pump(transport, &mut server, &mut clients, &everyone)?;
 
     // Recovery: announce the buffer, collect weighted aggregated shares.
     server.announce()?;
-    crate::drain_session(&mut server, transport)?;
+    drain_to(&mut server, transport, &everyone)?;
     transport.flush("buffer-announce");
-    crate::pump_sessions(transport, &mut server, &mut clients, &[])?;
+    pump(transport, &mut server, &mut clients, &everyone)?;
     transport.flush("async-recovery");
-    crate::pump_sessions(transport, &mut server, &mut clients, &[])?;
+    pump(transport, &mut server, &mut clients, &everyone)?;
 
     server.recover()
 }

@@ -1,5 +1,5 @@
 //! Multi-round federation: one [`SecureAggregator`] trait over the sync
-//! and buffered-async session pairs, with a persistent round lifecycle.
+//! and buffered-async endpoint pairs, with a persistent round lifecycle.
 //!
 //! LightSecAgg's point (§4.1 of the paper) is *amortizing* secure
 //! aggregation across a training run: the offline mask exchange for
@@ -11,14 +11,15 @@
 //!   round: `open_round → submit* → prepare_next? → mark_dropped* →
 //!   finish_round`. Implemented once, by [`LeafFederation`], over the
 //!   §4.1 synchronous ([`SyncFederation`]) and §4.2 buffered-async
-//!   ([`BufferedFederation`]) session pairs, so callers pick a variant
+//!   ([`BufferedFederation`]) endpoint pairs, so callers pick a variant
 //!   **by value** (`Box<dyn SecureAggregator<F>>`), not by code path.
-//! * [`FederationClient`] / [`FederationServer`] — persistent endpoints
-//!   that wrap the per-round sans-IO sessions and route interleaved
-//!   multi-round traffic by the round id every wire envelope now
-//!   carries. A replayed envelope from a finished round is rejected with
-//!   [`ProtocolError::StaleRound`] — never confused with a same-round
-//!   [`ProtocolError::DuplicateMessage`].
+//! * [`FederationClient`] / [`FederationServer`] — the synchronous
+//!   protocol's only endpoints: persistent sans-IO state machines that
+//!   keep one [`Client`] / [`crate::ServerRound`] per active round and
+//!   route interleaved multi-round traffic by the round id every wire
+//!   envelope carries. A replayed envelope from a finished round is
+//!   rejected with [`ProtocolError::StaleRound`] — never confused with a
+//!   same-round [`ProtocolError::DuplicateMessage`].
 //! * [`Federation`] / [`RoundPlan`] — the driver loop: per-round cohort
 //!   selection with cross-round churn (clients join, leave and rejoin
 //!   between rounds) and overlapped next-round mask sharing.
@@ -59,11 +60,11 @@ use crate::config::LsaConfig;
 use crate::ratchet::{
     ratchet_enabled, CohortFingerprint, Commit, CommitTracker, PadTopology, RatchetBank,
 };
+use crate::server::{ServerPhase, ServerRound};
 use crate::session::{AsyncClientSession, AsyncServerSession, Outgoing, Recipient, Session};
-use crate::session::{ClientSession, ServerSession};
 use crate::telemetry::{RoundReport, TrafficMark};
 use crate::transport::Transport;
-use crate::wire::Envelope;
+use crate::wire::{Envelope, SurvivorAnnouncement};
 use crate::ProtocolError;
 use lsa_field::Field;
 use lsa_quantize::{QuantizedStaleness, StalenessFn};
@@ -159,7 +160,7 @@ pub trait SecureAggregator<F: Field> {
     ///
     /// [`ProtocolError::WrongPhase`] without an open round;
     /// [`ProtocolError::NotEnoughSurvivors`] if dropouts exceeded the
-    /// budget; any protocol error from the sessions.
+    /// budget; any protocol error from the endpoints.
     fn finish_round(&mut self) -> Result<RoundOutcome<F>, ProtocolError>;
 
     /// Abandon the open round (if any), discarding its per-round state
@@ -293,15 +294,15 @@ pub type BoxedAggregator<F> = Box<dyn SecureAggregator<F> + Send>;
 // ---------------------------------------------------------------------
 
 /// A persistent federation client: one entity across the whole training
-/// run, wrapping one sans-IO [`ClientSession`] per *active* round and
-/// routing incoming envelopes by their round id.
+/// run, holding one [`Client`] state per *active* round and routing
+/// incoming envelopes by their round id.
 ///
-/// Holding sessions for two adjacent rounds at once is the normal state:
-/// round `t` is online while round `t+1`'s masks are being shared. An
-/// envelope for a *near-future* round (within [`Self::LOOKAHEAD`] of the
-/// newest active round) that arrives before this client joined it — a
-/// peer raced ahead on a non-lockstep transport — is buffered and
-/// replayed when [`FederationClient::prepare`] creates the session;
+/// Holding two adjacent rounds at once is the normal state: round `t`
+/// is online while round `t+1`'s masks are being shared. An envelope
+/// for a *near-future* round (within [`Self::LOOKAHEAD`] of the newest
+/// active round) that arrives before this client joined it — a peer
+/// raced ahead on a non-lockstep transport — is buffered and replayed
+/// when [`FederationClient::prepare`] joins the round;
 /// [`ProtocolError::StaleRound`] is reserved for rounds that are
 /// genuinely unroutable (retired, or implausibly far ahead).
 #[derive(Debug, Clone)]
@@ -313,11 +314,14 @@ pub struct FederationClient<F> {
     /// rejected with [`ProtocolError::WrongGroup`] before any routing.
     group: usize,
     entropy: StdRng,
-    sessions: BTreeMap<u64, ClientSession<F>>,
+    /// Each active round's protocol state and whether its model was
+    /// uploaded.
+    rounds: BTreeMap<u64, (Client<F>, bool)>,
     /// Early-arriving envelopes for rounds not yet joined.
     pending: BTreeMap<u64, Vec<Envelope<F>>>,
-    /// Responses produced while replaying buffered envelopes.
-    replies: VecDeque<Outgoing<F>>,
+    /// Envelopes produced by local actions (coded shares, uploads) and
+    /// by replaying early envelopes, in order.
+    outbox: VecDeque<Outgoing<F>>,
     /// Rounds below this are retired; envelopes for them are stale.
     horizon: u64,
     /// The stable-cohort ratchet ([`crate::ratchet`]): the retained base
@@ -381,18 +385,12 @@ impl<F: Field> FederationClient<F> {
             cfg,
             group,
             entropy,
-            sessions: BTreeMap::new(),
+            rounds: BTreeMap::new(),
             pending: BTreeMap::new(),
-            replies: VecDeque::new(),
+            outbox: VecDeque::new(),
             horizon: 0,
             bank: RatchetBank::new(),
         })
-    }
-
-    /// Override the pad topology used for ratcheted rounds (defaults to
-    /// the `LSA_PAD_TOPOLOGY` environment knob at construction).
-    pub fn set_pad_topology(&mut self, topology: PadTopology) {
-        self.bank.set_topology(topology);
     }
 
     /// This client's user index (group-local in a grouped topology).
@@ -406,19 +404,19 @@ impl<F: Field> FederationClient<F> {
     }
 
     /// The highest active round, or the retirement horizon when no
-    /// session is live.
+    /// round is live.
     pub fn current_round(&self) -> u64 {
-        self.sessions
+        self.rounds
             .keys()
             .next_back()
             .copied()
             .unwrap_or(self.horizon)
     }
 
-    /// Number of live per-round sessions (usually 1, or 2 while the next
-    /// round's masks are being shared).
+    /// Number of live rounds (usually 1, or 2 while the next round's
+    /// masks are being shared).
     pub fn active_rounds(&self) -> usize {
-        self.sessions.len()
+        self.rounds.len()
     }
 
     /// Join `round`: run the offline mask generation, queue the coded
@@ -432,44 +430,65 @@ impl<F: Field> FederationClient<F> {
     /// early envelopes surface their own errors.
     pub fn prepare(&mut self, round: u64) -> Result<(), ProtocolError> {
         self.ensure_joinable(round)?;
-        let session = ClientSession::for_round_in_group(
-            self.id,
-            round,
-            self.group,
-            self.cfg,
-            &mut self.entropy,
-        )?;
-        self.install(round, session)
+        let client =
+            Client::for_round_in_group(self.id, round, self.group, self.cfg, &mut self.entropy)?;
+        self.join(round, client)
     }
 
-    /// Upload the quantized model for `round`.
+    /// Join `round` with the freshly generated `client` state: replay
+    /// the envelopes that arrived for it early, then queue its coded
+    /// shares.
+    pub(crate) fn join(&mut self, round: u64, client: Client<F>) -> Result<(), ProtocolError> {
+        let shares = client.outgoing_shares();
+        self.install(round, client)?;
+        self.outbox.extend(
+            shares
+                .into_iter()
+                .map(|s| (Recipient::Client(s.to), Envelope::CodedMaskShare(s))),
+        );
+        Ok(())
+    }
+
+    /// Mask the quantized model for `round` and queue the upload
+    /// (Algorithm 1 line 14).
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::StaleRound`] if the round is not active;
-    /// otherwise as [`ClientSession::upload_model`].
+    /// [`ProtocolError::StaleRound`] if the round is not active,
+    /// [`ProtocolError::DuplicateMessage`] on a second upload, or a
+    /// length mismatch as [`ProtocolError::Coding`].
     pub fn upload(&mut self, round: u64, model: &[F]) -> Result<(), ProtocolError> {
         let current = self.current_round();
-        let session = self
-            .sessions
+        let (client, uploaded) = self
+            .rounds
             .get_mut(&round)
             .ok_or(ProtocolError::StaleRound {
                 got: round,
                 current,
             })?;
-        session.upload_model(model)
+        if *uploaded {
+            return Err(ProtocolError::DuplicateMessage(self.id));
+        }
+        let masked = client.mask_model(model)?;
+        *uploaded = true;
+        self.outbox
+            .push_back((Recipient::Server, Envelope::MaskedModel(masked)));
+        Ok(())
     }
 
-    /// Retire every session below `round` (their aggregates are
-    /// recovered; any further envelope for them is a stale replay).
+    /// Retire every round below `round` (their aggregates are recovered;
+    /// any further envelope for them is a stale replay), with whatever
+    /// they still had queued.
     pub fn retire_below(&mut self, round: u64) {
-        self.sessions.retain(|&r, _| r >= round);
+        self.rounds.retain(|&r, _| r >= round);
         self.pending.retain(|&r, _| r >= round);
+        self.outbox
+            .retain(|(_, envelope)| envelope.round() >= round);
         self.horizon = self.horizon.max(round);
     }
 
-    /// A session for `round` may be created: the round is neither
-    /// retired ([`ProtocolError::StaleRound`]) nor already joined
+    /// `round` may be joined: it is neither retired
+    /// ([`ProtocolError::StaleRound`]) nor already joined
     /// ([`ProtocolError::DuplicateMessage`]).
     fn ensure_joinable(&self, round: u64) -> Result<(), ProtocolError> {
         if round < self.horizon {
@@ -478,20 +497,39 @@ impl<F: Field> FederationClient<F> {
                 current: self.horizon,
             });
         }
-        if self.sessions.contains_key(&round) {
+        if self.rounds.contains_key(&round) {
             return Err(ProtocolError::DuplicateMessage(self.id));
         }
         Ok(())
     }
 
-    /// Make `session` the live session of `round`, replaying the
-    /// envelopes that arrived for it early.
-    fn install(&mut self, round: u64, mut session: ClientSession<F>) -> Result<(), ProtocolError> {
+    /// Make `client` the live state of `round`, replaying the envelopes
+    /// that arrived for it early.
+    fn install(&mut self, round: u64, mut client: Client<F>) -> Result<(), ProtocolError> {
         for envelope in self.pending.remove(&round).unwrap_or_default() {
-            self.replies.extend(session.handle(envelope)?);
+            self.outbox.extend(handle_round(&mut client, envelope)?);
         }
-        self.sessions.insert(round, session);
+        self.rounds.insert(round, (client, false));
         Ok(())
+    }
+}
+
+/// Route one envelope to the client state of the round it is stamped
+/// with: the caller has already checked its group and round.
+fn handle_round<F: Field>(
+    client: &mut Client<F>,
+    envelope: Envelope<F>,
+) -> Result<Vec<Outgoing<F>>, ProtocolError> {
+    match envelope {
+        Envelope::CodedMaskShare(share) => {
+            client.receive_share(share)?;
+            Ok(Vec::new())
+        }
+        Envelope::SurvivorAnnouncement(ann) => {
+            let share = client.aggregated_share_for(&ann.survivors)?;
+            Ok(vec![(Recipient::Server, Envelope::AggregatedShare(share))])
+        }
+        other => Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
     }
 }
 
@@ -517,23 +555,25 @@ impl<F: Field> LeafClient<F> for FederationClient<F> {
     }
 
     fn forget_round(&mut self, round: u64) {
-        self.sessions.remove(&round);
+        self.rounds.remove(&round);
         self.pending.remove(&round);
+        self.outbox
+            .retain(|(_, envelope)| envelope.round() != round);
     }
 
-    /// The finished session is moved into the bank, not copied: the
-    /// retire that follows the harvest would drop it anyway.
+    /// The finished round's client is moved into the bank, not copied:
+    /// the retire that follows the harvest would drop it anyway.
     fn harvest_ratchet(&mut self, round: u64, fingerprint: u64) {
-        if let Some(session) = self.sessions.remove(&round) {
-            self.bank.retain(session.into_client(), fingerprint);
+        if let Some((client, _)) = self.rounds.remove(&round) {
+            self.bank.retain(client, fingerprint);
         }
     }
 
     fn ratchet_join(&mut self, round: u64) -> Result<(), ProtocolError> {
         self.ensure_joinable(round)?;
         let (base, nonce, topology) = self.bank.join(round)?;
-        let session = ClientSession::ratcheted(base, round, nonce, topology);
-        self.install(round, session)
+        let client = Client::ratcheted_from(base, round, nonce, topology);
+        self.install(round, client)
     }
 
     /// Every cohort member applies the same `seed`, so the permuted
@@ -565,23 +605,21 @@ impl<F: Field> Session<F> for FederationClient<F> {
             });
         }
         // ratchet commits are round-*creating*, not round-routed: the
-        // round's session is derived from the retained base
+        // round's client state is derived from the retained base
         if matches!(
             envelope,
             Envelope::RatchetAnnouncement(_) | Envelope::RatchetWindowCommit(_)
         ) {
             let commit = Commit::from_server(&envelope)?;
             self.ensure_joinable(commit.round)?;
-            let sessions = &mut self.sessions;
+            let rounds = &mut self.rounds;
             let ack = self.bank.accept(
                 &commit,
                 self.id,
                 self.group,
                 |base, round, nonce, topology| {
-                    sessions.insert(
-                        round,
-                        ClientSession::ratcheted(base, round, nonce, topology),
-                    );
+                    let client = Client::ratcheted_from(base, round, nonce, topology);
+                    rounds.insert(round, (client, false));
                     Ok(())
                 },
             )?;
@@ -589,8 +627,8 @@ impl<F: Field> Session<F> for FederationClient<F> {
         }
         let round = envelope.round();
         let current = self.current_round();
-        match self.sessions.get_mut(&round) {
-            Some(session) => session.handle(envelope),
+        match self.rounds.get_mut(&round) {
+            Some((client, _)) => handle_round(client, envelope),
             // a peer raced ahead: hold the envelope for prepare() —
             // within the bounded budget
             None if round > current && round <= current + Self::LOOKAHEAD => {
@@ -613,22 +651,31 @@ impl<F: Field> Session<F> for FederationClient<F> {
     }
 
     fn poll_output(&mut self) -> Option<Outgoing<F>> {
-        self.replies.pop_front().or_else(|| {
-            self.sessions
-                .values_mut()
-                .find_map(|session| session.poll_output())
-        })
+        self.outbox.pop_front()
     }
 }
 
-/// The persistent federation server: wraps one [`ServerSession`] per
-/// round, opened and closed through the round lifecycle.
+/// The persistent federation server: one [`ServerRound`] per round,
+/// opened and closed through the round lifecycle.
+///
+/// Collects masked models; [`Self::close_upload`] fixes the survivor
+/// set and queues one [`SurvivorAnnouncement`] per survivor; once `U`
+/// aggregated shares arrive, [`Self::close_round`] runs the one-shot
+/// decode. Recovery is **deliberately lazy**: receiving the `U`-th share
+/// only marks the round ready, and the `O(U²) + O(U·d)` decode runs on
+/// the owner's thread — which lets a grouped topology decode its
+/// independent groups on a thread pool instead of inline in the
+/// (serial) message pump.
 #[derive(Debug, Clone)]
 pub struct FederationServer<F: Field> {
     cfg: LsaConfig,
     group: usize,
     round: u64,
-    session: Option<ServerSession<F>>,
+    /// The open round's protocol state (`None` between rounds).
+    current: Option<ServerRound<F>>,
+    /// The survivor announcements [`Self::close_upload`] queued for the
+    /// open round.
+    announcements: VecDeque<Outgoing<F>>,
     /// The stable-cohort ratchet handshake ([`crate::ratchet`]).
     ratchet: CommitTracker<F>,
     /// Rejected-envelope strikes per claimed sender, reset at each
@@ -666,7 +713,8 @@ impl<F: Field> FederationServer<F> {
             cfg,
             group,
             round: 0,
-            session: None,
+            current: None,
+            announcements: VecDeque::new(),
             ratchet: CommitTracker::new(group),
             strikes: BTreeMap::new(),
             quota: DEFAULT_INGRESS_QUOTA,
@@ -687,7 +735,7 @@ impl<F: Field> FederationServer<F> {
 
     /// Whether a round is currently open.
     pub fn is_open(&self) -> bool {
-        self.session.is_some()
+        self.current.is_some()
     }
 
     /// Open `round`: accept uploads stamped with it, reject everything
@@ -698,7 +746,7 @@ impl<F: Field> FederationServer<F> {
     /// [`ProtocolError::WrongPhase`] if a round is already open;
     /// [`ProtocolError::StaleRound`] when reopening a past round.
     pub fn open_round(&mut self, round: u64) -> Result<(), ProtocolError> {
-        if self.session.is_some() {
+        if self.current.is_some() {
             return Err(ProtocolError::WrongPhase);
         }
         if round < self.round {
@@ -707,7 +755,7 @@ impl<F: Field> FederationServer<F> {
                 current: self.round,
             });
         }
-        self.session = Some(ServerSession::for_round_in_group(
+        self.current = Some(ServerRound::for_round_in_group(
             self.cfg, round, self.group,
         )?);
         self.round = round;
@@ -742,58 +790,69 @@ impl<F: Field> FederationServer<F> {
     }
 
     /// Close the upload phase of the open round, fixing the survivor set
-    /// and queueing the announcements.
+    /// `U₁` and queueing a [`SurvivorAnnouncement`] to every survivor.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::WrongPhase`] without an open round; otherwise as
-    /// [`ServerSession::close_upload`].
+    /// [`ProtocolError::WrongPhase`] without an open round or on a
+    /// second close; [`ProtocolError::NotEnoughSurvivors`] if fewer than
+    /// `U` users uploaded.
     pub fn close_upload(&mut self) -> Result<Vec<usize>, ProtocolError> {
-        let session = self.session.as_mut().ok_or(ProtocolError::WrongPhase)?;
-        Ok(session.close_upload()?.to_vec())
+        let current = self.current.as_mut().ok_or(ProtocolError::WrongPhase)?;
+        let survivors = current.close_upload_phase()?.to_vec();
+        let announcement = SurvivorAnnouncement {
+            group: self.group,
+            round: self.round,
+            survivors: survivors.clone(),
+        };
+        self.announcements.extend(survivors.iter().map(|&s| {
+            let envelope = Envelope::SurvivorAnnouncement(announcement.clone());
+            (Recipient::Client(s), envelope)
+        }));
+        Ok(survivors)
     }
 
     /// How many aggregated shares the open round has received.
     pub fn shares_received(&self) -> usize {
-        self.session
+        self.current
             .as_ref()
-            .map_or(0, ServerSession::shares_received)
+            .map_or(0, ServerRound::shares_received)
     }
 
-    /// Abandon the open round, discarding its session state (used by the
+    /// Abandon the open round, discarding its state (used by the
     /// grouped topology's partial-recovery mode to retire a stalled
     /// group without blocking the next round). A no-op when no round is
     /// open.
     pub fn abort_round(&mut self) {
-        self.session = None;
+        self.current = None;
+        self.announcements.clear();
     }
 
-    /// Close the open round, returning the recovered aggregate. The
-    /// server holds **no per-round state** afterwards — its memory
-    /// across the run is `O(d)`, not `O(rounds · N · d)`.
+    /// Close the open round, running the one-shot decode and returning
+    /// the recovered aggregate. The server holds **no per-round state**
+    /// afterwards — its memory across the run is `O(d)`, not
+    /// `O(rounds · N · d)`.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::WrongPhase`] without an open round;
     /// [`ProtocolError::NotEnoughSurvivors`] if recovery never
-    /// completed.
+    /// completed; a [`ProtocolError::Coding`] decode failure. On error
+    /// the round stays open, so the caller can pump more shares.
     pub fn close_round(&mut self) -> Result<Vec<F>, ProtocolError> {
-        let session = self.session.as_mut().ok_or(ProtocolError::WrongPhase)?;
-        if !session.is_complete() {
-            // leave the round open so the caller can pump more shares
+        let current = self.current.as_mut().ok_or(ProtocolError::WrongPhase)?;
+        if current.phase() != ServerPhase::ReadyToRecover {
             return Err(ProtocolError::NotEnoughSurvivors {
-                got: session.shares_received(),
+                got: current.shares_received(),
                 need: self.cfg.u(),
             });
         }
-        // the lazy one-shot decode runs here — the owner's thread, which
-        // a grouped topology schedules in parallel across groups
-        let aggregate = session.recover()?.to_vec();
-        self.session = None;
+        let aggregate = current.recover_aggregate()?;
+        self.abort_round();
         Ok(aggregate)
     }
 
-    /// Group check → ratchet-ack routing → session routing, without the
+    /// Group check → ratchet-ack routing → round routing, without the
     /// ingress-quota accounting that [`Session::handle`] wraps around
     /// it.
     fn handle_inner(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
@@ -809,13 +868,22 @@ impl<F: Field> FederationServer<F> {
         ) {
             return self.ratchet.ack(&envelope).map(|()| Vec::new());
         }
-        match self.session.as_mut() {
-            Some(session) => session.handle(envelope),
-            None => Err(ProtocolError::StaleRound {
+        let Some(current) = self.current.as_mut() else {
+            return Err(ProtocolError::StaleRound {
                 got: envelope.round(),
                 current: self.round,
-            }),
+            });
+        };
+        match envelope {
+            Envelope::MaskedModel(m) => current.receive_masked_model(m)?,
+            // the U-th share only marks the round ready: the decode
+            // waits for `close_round`
+            Envelope::AggregatedShare(s) => {
+                current.receive_aggregated_share(s)?;
+            }
+            other => return Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
         }
+        Ok(Vec::new())
     }
 }
 
@@ -830,9 +898,9 @@ impl<F: Field> LeafServer<F> for FederationServer<F> {
 
     fn recover_round(&mut self, round: u64) -> Result<RoundOutcome<F>, ProtocolError> {
         let survivors = self
-            .session
+            .current
             .as_ref()
-            .map_or_else(Vec::new, |session| session.survivors().to_vec());
+            .map_or_else(Vec::new, |current| current.survivors().to_vec());
         let aggregate = self.close_round()?;
         Ok(RoundOutcome {
             round,
@@ -894,7 +962,7 @@ impl<F: Field> Session<F> for FederationServer<F> {
     fn poll_output(&mut self) -> Option<Outgoing<F>> {
         self.ratchet
             .poll_output()
-            .or_else(|| self.session.as_mut().and_then(ServerSession::poll_output))
+            .or_else(|| self.announcements.pop_front())
     }
 }
 
@@ -1007,8 +1075,9 @@ fn validate_cohort(cfg: &LsaConfig, cohort: &[usize]) -> Result<BTreeSet<usize>,
 /// Deliver every receivable envelope: the server always accepts;
 /// clients only while listed in `online` (everyone else has left or
 /// vanished — their envelopes are discarded undelivered). Responses are
-/// forwarded back into the transport.
-fn pump<F, T, C, S>(
+/// forwarded back into the transport. The crate's one message pump,
+/// shared by every driver.
+pub(crate) fn pump<F, T, C, S>(
     transport: &mut T,
     server: &mut S,
     clients: &mut [C],
@@ -1038,9 +1107,9 @@ where
     Ok(())
 }
 
-/// Drain a session's queued envelopes into the transport, discarding
+/// Drain an endpoint's queued envelopes into the transport, discarding
 /// those addressed to clients outside `online`.
-fn drain_to<F, T, S>(
+pub(crate) fn drain_to<F, T, S>(
     session: &mut S,
     transport: &mut T,
     online: &BTreeSet<usize>,
@@ -1067,7 +1136,7 @@ where
 // ---------------------------------------------------------------------
 
 /// The per-variant seam under [`LeafFederation`]: one client and one
-/// server session type per protocol variant. The traits are public
+/// server endpoint type per protocol variant. The traits are public
 /// only in name — their module is crate-private, so no other variant
 /// can be plugged in.
 pub(crate) mod seam {
@@ -1176,8 +1245,8 @@ pub struct LeafFederation<F, T, C, S> {
 }
 
 /// The §4.1 synchronous protocol behind the [`SecureAggregator`] trait:
-/// per-round sessions with exact (unit-weight) aggregation and `O(d)`
-/// server memory.
+/// per-round client and server state with exact (unit-weight)
+/// aggregation and `O(d)` server memory.
 pub type SyncFederation<F, T> = LeafFederation<F, T, FederationClient<F>, FederationServer<F>>;
 
 /// The §4.2 buffered-asynchronous protocol behind the
@@ -1293,7 +1362,7 @@ where
         server: S,
         master: &mut StdRng,
     ) -> Self {
-        Self {
+        let mut leaf = Self {
             cfg,
             group,
             transport,
@@ -1308,14 +1377,17 @@ where
             entropy: StdRng::seed_from_u64(master.gen()),
             ratchet: ratchet_enabled(),
             ratchet_fp: None,
-            topology: crate::ratchet::pad_topology(),
+            topology: PadTopology::default(),
             commit_window: crate::ratchet::commit_window(),
             window: BTreeSet::new(),
             mark: TrafficMark::default(),
             mark_ingress: (0, 0),
             last_report: None,
             field: PhantomData,
-        }
+        };
+        // the leaf reads the pad-topology knob once, for all its clients
+        leaf.set_pad_topology(crate::ratchet::pad_topology());
+        leaf
     }
 
     /// The namespaced leaf-group id this federation stamps its
@@ -2203,7 +2275,7 @@ mod tests {
         // b is still on round 0: the round-1 share is buffered, not lost
         assert_eq!(b.handle(share_r1).unwrap(), Vec::new());
         b.prepare(1).unwrap();
-        let r1 = b.sessions.get(&1).unwrap();
+        let (r1, _) = b.rounds.get(&1).unwrap();
         assert_eq!(r1.shares_received(), 2, "replayed share must land");
         // far beyond the lookahead window → unroutable
         let far = Envelope::CodedMaskShare(crate::messages::CodedMaskShare {
@@ -2324,7 +2396,7 @@ mod tests {
             fed.server.handle(Envelope::RatchetAnnouncement(ack)),
             Err(ProtocolError::RatchetMismatch)
         ));
-        // a commit for a round the client already holds a session for is
+        // a commit for a round the client already holds state for is
         // a duplicate — a second nonce must not rebuild the round's mask
         fed.open_round(&cohort).unwrap();
         let dup = RatchetAnnouncement {

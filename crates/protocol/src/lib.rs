@@ -12,21 +12,26 @@
 //!
 //! * [`federation`] — the persistent multi-round API:
 //!   [`federation::SecureAggregator`] (one object-safe trait over the
-//!   sync and buffered-async variants),
+//!   sync and buffered-async variants), implemented once by the leaf
+//!   driver [`federation::LeafFederation`];
 //!   [`federation::FederationClient`] /
-//!   [`federation::FederationServer`] (round lifecycle with cohort
-//!   churn), and [`federation::Federation`] (the driver loop with
-//!   §4.1's overlapped next-round mask sharing);
+//!   [`federation::FederationServer`] (the synchronous endpoints: round
+//!   lifecycle with cohort churn); and [`federation::Federation`] (the
+//!   driver loop with §4.1's overlapped next-round mask sharing);
 //! * [`wire`] — [`wire::Envelope`], the single serializable message type
 //!   unifying every protocol message, with a canonical byte encoding;
 //!   every envelope is **round-scoped** and cross-round replays are
 //!   rejected with [`ProtocolError::StaleRound`];
-//! * [`session`] — [`session::ClientSession`] /
-//!   [`session::ServerSession`] (and the async variants): pure
-//!   event-driven state machines with a uniform
-//!   `handle(Envelope) -> Vec<(Recipient, Envelope)>` + `poll_output()`
-//!   interface; entropy is injected at construction, never during
-//!   message handling;
+//! * [`session`] — the uniform sans-IO [`Session`] interface
+//!   (`handle(Envelope) -> Vec<(Recipient, Envelope)>` +
+//!   `poll_output()`) every endpoint implements, and the buffered-async
+//!   endpoints [`session::AsyncClientSession`] /
+//!   [`session::AsyncServerSession`]; entropy is injected at
+//!   construction, never during message handling. One endpoint per
+//!   side and variant: [`Client`] → [`FederationClient`] →
+//!   [`federation::LeafFederation`] for sync, and
+//!   [`asynchronous::AsyncClient`] → [`session::AsyncClientSession`] →
+//!   `LeafFederation` for buffered-async;
 //! * [`transport`] — the [`transport::Transport`] trait with
 //!   [`transport::MemTransport`] (ordered in-memory queues) and
 //!   [`transport::SimTransport`] (drives the [`lsa_net`] discrete-event
@@ -35,9 +40,10 @@
 //! * [`Client`] / [`ServerRound`] — the underlying per-endpoint protocol
 //!   logic (§4.1);
 //! * [`asynchronous`] — buffered asynchronous variant (§4.2, Appendix F);
-//! * [`run_sync_round`] / [`run_sync_round_over`] — thin drivers pumping
-//!   sessions over a transport (used by tests, examples and the
-//!   simulator).
+//! * [`run_sync_round`] / [`run_sync_round_over`] — the single-round
+//!   oracle: one round of [`FederationClient`]s and a
+//!   [`FederationServer`] pumped over a transport (used by tests,
+//!   examples and the simulator).
 //!
 //! Guarantees (Theorem 1): for any `T + D < N`, privacy against any `T`
 //! colluding users (information-theoretic, given the `T`-private MDS
@@ -127,7 +133,7 @@ pub use ratchet::{
     RATCHET_FROM_SERVER,
 };
 pub use server::{ServerPhase, ServerRound};
-pub use session::{ClientSession, Recipient, ServerSession, Session};
+pub use session::{Recipient, Session};
 pub use telemetry::{EventCounters, RoundReport, TrafficMark};
 pub use topology::{GroupTopology, GroupedFederation, TopologyNode};
 pub use transport::{Delivery, MemTransport, PhaseTiming, SimTransport, Transport};
@@ -137,8 +143,11 @@ pub use wire::{
 };
 
 use core::fmt;
+use federation::{drain_to, pump};
 use lsa_field::Field;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 /// Errors produced by the protocol layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -420,13 +429,12 @@ pub struct SyncRoundOutput<F> {
 /// Users in `dropouts.before_upload` never upload; users in
 /// `dropouts.after_upload` upload but do not serve recovery.
 ///
-/// This is a compatibility shim over [`run_sync_round_over`] with a
-/// [`MemTransport`]: every message still crosses a (serialized) wire.
+/// This is [`run_sync_round_over`] with a [`MemTransport`]: every
+/// message still crosses a (serialized) wire.
 ///
 /// # Errors
 ///
-/// Propagates any protocol error; notably
-/// [`ProtocolError::NotEnoughSurvivors`] when dropouts exceed `N − U`.
+/// As for [`run_sync_round_over`].
 pub fn run_sync_round<F: Field, R: Rng + ?Sized>(
     cfg: LsaConfig,
     models: &[Vec<F>],
@@ -437,22 +445,26 @@ pub fn run_sync_round<F: Field, R: Rng + ?Sized>(
     run_sync_round_over(cfg, models, dropouts, rng, &mut transport)
 }
 
-/// Run one full synchronous LightSecAgg round over an explicit
-/// [`Transport`], pumping [`ClientSession`]s and a [`ServerSession`].
+/// The single-round oracle: run one full synchronous LightSecAgg round
+/// over an explicit [`Transport`], pumping one [`FederationClient`] per
+/// user and a [`FederationServer`] through round 0.
 ///
 /// Phase boundaries are marked with [`Transport::flush`] under the
 /// labels `"offline"`, `"upload"`, `"announce"` and `"recovery"`, so a
 /// [`SimTransport`] reports per-phase wall-clock derived from the actual
-/// serialized envelope sizes.
+/// serialized envelope sizes. Every client's mask is drawn from `rng`,
+/// in user order.
 ///
 /// Dropout semantics (§7.1): users in `dropouts.before_upload` never
-/// upload (their sessions still serve the offline exchange); users in
+/// upload (they still serve the offline exchange); users in
 /// `dropouts.after_upload` upload but vanish afterwards — envelopes
-/// addressed to them are discarded undelivered.
+/// addressed to them are sent but discarded undelivered.
 ///
 /// # Errors
 ///
-/// Propagates any protocol error; notably
+/// [`ProtocolError::InvalidConfig`] unless there is one model per user;
+/// [`ProtocolError::UnknownUser`] for a scheduled dropout outside
+/// `0..N`; otherwise any protocol error, notably
 /// [`ProtocolError::NotEnoughSurvivors`] when dropouts exceed `N − U`.
 pub fn run_sync_round_over<F: Field, R: Rng + ?Sized, T: Transport<F>>(
     cfg: LsaConfig,
@@ -461,97 +473,64 @@ pub fn run_sync_round_over<F: Field, R: Rng + ?Sized, T: Transport<F>>(
     rng: &mut R,
     transport: &mut T,
 ) -> Result<SyncRoundOutput<F>, ProtocolError> {
-    assert_eq!(models.len(), cfg.n(), "one model per user");
+    let n = cfg.n();
+    if models.len() != n {
+        return Err(ProtocolError::InvalidConfig(format!(
+            "{} models for N={n} users",
+            models.len()
+        )));
+    }
+    let mut scheduled = dropouts.before_upload.iter().chain(&dropouts.after_upload);
+    if let Some(&bad) = scheduled.find(|&&id| id >= n) {
+        return Err(ProtocolError::UnknownUser(bad));
+    }
 
-    let mut clients: Vec<ClientSession<F>> = (0..cfg.n())
-        .map(|id| ClientSession::new(id, cfg, rng))
-        .collect::<Result<_, _>>()?;
-    let mut server = ServerSession::new(cfg)?;
-
-    // Offline: construction queued each client's coded shares.
-    for client in clients.iter_mut() {
-        drain_session(client, transport)?;
+    // Offline: joining round 0 queues each client's coded shares. The
+    // endpoints' own entropy streams stay unused: the masks come from
+    // `rng`.
+    let mut clients = (0..n)
+        .map(|id| {
+            let mut client = FederationClient::new(id, cfg, StdRng::seed_from_u64(0))?;
+            client.join(0, Client::new(id, cfg, rng)?)?;
+            Ok(client)
+        })
+        .collect::<Result<Vec<_>, ProtocolError>>()?;
+    let mut server = FederationServer::new(cfg);
+    server.open_round(0)?;
+    let everyone: BTreeSet<usize> = (0..n).collect();
+    for client in &mut clients {
+        drain_to(client, transport, &everyone)?;
     }
     transport.flush("offline");
-    pump_sessions(transport, &mut server, &mut clients, &[])?;
+    pump(transport, &mut server, &mut clients, &everyone)?;
 
     // Upload phase.
     for (id, client) in clients.iter_mut().enumerate() {
-        if dropouts.before_upload.contains(&id) {
-            continue;
+        if !dropouts.before_upload.contains(&id) {
+            client.upload(0, &models[id])?;
+            drain_to(client, transport, &everyone)?;
         }
-        client.upload_model(&models[id])?;
-        drain_session(client, transport)?;
     }
     transport.flush("upload");
-    pump_sessions(transport, &mut server, &mut clients, &[])?;
+    pump(transport, &mut server, &mut clients, &everyone)?;
 
     // Recovery: announce the survivor set; users dropped after upload
     // have vanished, so envelopes to them are discarded undelivered.
-    let survivors = server.close_upload()?.to_vec();
-    drain_session(&mut server, transport)?;
+    let survivors = server.close_upload()?;
+    drain_to(&mut server, transport, &everyone)?;
+    let online: BTreeSet<usize> = everyone
+        .into_iter()
+        .filter(|id| !dropouts.after_upload.contains(id))
+        .collect();
     transport.flush("announce");
-    pump_sessions(transport, &mut server, &mut clients, &dropouts.after_upload)?;
+    pump(transport, &mut server, &mut clients, &online)?;
     transport.flush("recovery");
-    pump_sessions(transport, &mut server, &mut clients, &dropouts.after_upload)?;
+    pump(transport, &mut server, &mut clients, &online)?;
 
-    if !server.is_complete() {
-        return Err(ProtocolError::NotEnoughSurvivors {
-            got: server.shares_received(),
-            need: cfg.u(),
-        });
-    }
-    let aggregate = server.recover()?.to_vec();
     Ok(SyncRoundOutput {
-        aggregate,
+        aggregate: server.close_round()?,
         survivors,
     })
-}
-
-/// Send everything a session has queued from local actions.
-pub(crate) fn drain_session<F: Field, S: Session<F>, T: Transport<F>>(
-    session: &mut S,
-    transport: &mut T,
-) -> Result<(), ProtocolError> {
-    let from = session.local_addr();
-    while let Some((to, envelope)) = session.poll_output() {
-        transport.send(from, to, &envelope)?;
-    }
-    Ok(())
-}
-
-/// Deliver every receivable envelope to its destination session,
-/// forwarding any responses back into the transport. Envelopes addressed
-/// to `vanished` clients are discarded (the user dropped out). Shared by
-/// the sync and async drivers.
-pub(crate) fn pump_sessions<F, T, CS, SS>(
-    transport: &mut T,
-    server: &mut SS,
-    clients: &mut [CS],
-    vanished: &[usize],
-) -> Result<(), ProtocolError>
-where
-    F: Field,
-    T: Transport<F>,
-    CS: Session<F>,
-    SS: Session<F>,
-{
-    while let Some(delivery) = transport.recv()? {
-        let responses = match delivery.to {
-            Recipient::Client(i) => {
-                if vanished.contains(&i) {
-                    continue;
-                }
-                clients[i].handle(delivery.envelope)?
-            }
-            Recipient::Server => server.handle(delivery.envelope)?,
-        };
-        let from = delivery.to;
-        for (to, envelope) in responses {
-            transport.send(from, to, &envelope)?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -695,6 +674,30 @@ mod tests {
         let out = run_sync_round(cfg, &weighted, &DropoutSchedule::none(), &mut rng).unwrap();
         let want = expected_sum(&weighted, &[0, 1, 2, 3]);
         assert_eq!(out.aggregate, want);
+    }
+
+    #[test]
+    fn malformed_round_inputs_rejected_typed() {
+        // a model count that is not N, or a dropout outside 0..N, is a
+        // typed error rather than a panic or a silently ignored id
+        let cfg = LsaConfig::new(4, 1, 3, 5).unwrap();
+        let ms = models::<Fp61>(4, 5, 19);
+        let mut rng = StdRng::seed_from_u64(20);
+        let err = run_sync_round(cfg, &ms[..3], &DropoutSchedule::none(), &mut rng).unwrap_err();
+        assert!(matches!(err, ProtocolError::InvalidConfig(_)), "{err}");
+        for sched in [
+            DropoutSchedule::before_upload(vec![4]),
+            DropoutSchedule::after_upload(vec![1, 7]),
+        ] {
+            let bad = *sched
+                .before_upload
+                .iter()
+                .chain(&sched.after_upload)
+                .max()
+                .unwrap();
+            let err = run_sync_round(cfg, &ms, &sched, &mut rng).unwrap_err();
+            assert_eq!(err, ProtocolError::UnknownUser(bad));
+        }
     }
 
     #[test]

@@ -626,11 +626,12 @@ mod handshake {
     }
 
     impl<B> RatchetBank<B> {
-        /// An empty bank, under the `LSA_PAD_TOPOLOGY` knob.
+        /// An empty bank under the default pad topology: the leaf
+        /// pushes the topology it resolved into every bank it assembles.
         pub(crate) fn new() -> Self {
             Self {
                 base: None,
-                topology: pad_topology(),
+                topology: PadTopology::default(),
                 window: BTreeMap::new(),
             }
         }

@@ -1,49 +1,63 @@
-//! Sans-IO protocol sessions: pure event-driven state machines.
+//! Sans-IO protocol endpoints: pure event-driven state machines.
 //!
-//! A session owns one endpoint's protocol state and *never* touches a
-//! socket, a clock or an RNG while handling messages: you feed it
-//! envelopes with [`Session::handle`], it returns the envelopes that
-//! must be sent in response, and [`Session::poll_output`] drains
-//! envelopes produced by local actions (construction, model upload,
-//! phase close). All entropy is injected at construction, so a session's
-//! behaviour is a deterministic function of its inputs — the property
-//! that makes the protocol testable, replayable and portable across
-//! transports (in-memory queues, the discrete-event simulator, or a real
-//! network stack).
+//! An endpoint owns its protocol state and *never* touches a socket, a
+//! clock or an RNG while handling messages: you feed it envelopes with
+//! [`Session::handle`], it returns the envelopes that must be sent in
+//! response, and [`Session::poll_output`] drains envelopes produced by
+//! local actions (joining a round, model upload, phase close). All
+//! entropy is injected at construction, so an endpoint's behaviour is a
+//! deterministic function of its inputs — the property that makes the
+//! protocol testable, replayable and portable across transports
+//! (in-memory queues, the discrete-event simulator, or a real network
+//! stack).
 //!
-//! # Sessions
+//! # Endpoints
 //!
-//! * [`ClientSession`] / [`ServerSession`] — the synchronous protocol
-//!   (§4.1, Algorithm 1);
-//! * [`AsyncClientSession`] / [`AsyncServerSession`] — the
-//!   buffered-asynchronous variant (§4.2, Appendix F).
+//! Each protocol variant has one client and one server endpoint over
+//! its per-endpoint protocol logic, and both are driven by the one leaf
+//! driver, [`LeafFederation`](crate::federation::LeafFederation):
 //!
-//! # Example: pumping a session by hand
+//! * synchronous (§4.1, Algorithm 1): [`Client`](crate::Client) →
+//!   [`FederationClient`](crate::FederationClient) → `LeafFederation`,
+//!   served by [`FederationServer`](crate::FederationServer) over
+//!   [`ServerRound`](crate::ServerRound);
+//! * buffered-asynchronous (§4.2, Appendix F): [`AsyncClient`] →
+//!   [`AsyncClientSession`] → `LeafFederation`, served by
+//!   [`AsyncServerSession`] over [`AsyncServer`].
+//!
+//! This module holds the uniform [`Session`] interface, the
+//! [`Recipient`] address and the buffered-async pair; the synchronous
+//! pair lives in [`crate::federation`].
+//!
+//! # Example: pumping the synchronous endpoints by hand
 //!
 //! ```
-//! use lsa_protocol::session::{ClientSession, Recipient, ServerSession, Session};
-//! use lsa_protocol::LsaConfig;
+//! use lsa_protocol::session::{Recipient, Session};
+//! use lsa_protocol::{FederationClient, FederationServer, LsaConfig};
 //! use lsa_field::{Field, Fp61};
+//! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
 //! let cfg = LsaConfig::new(2, 0, 2, 4).unwrap();
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//! let mut a = ClientSession::<Fp61>::new(0, cfg, &mut rng).unwrap();
-//! let mut b = ClientSession::<Fp61>::new(1, cfg, &mut rng).unwrap();
-//! let mut server = ServerSession::<Fp61>::new(cfg).unwrap();
+//! let mut a = FederationClient::<Fp61>::new(0, cfg, StdRng::seed_from_u64(1)).unwrap();
+//! let mut b = FederationClient::<Fp61>::new(1, cfg, StdRng::seed_from_u64(2)).unwrap();
+//! let mut server = FederationServer::<Fp61>::new(cfg);
 //!
-//! // offline: construction queued each client's coded shares
+//! // offline: joining round 0 queues each client's coded shares
+//! a.prepare(0).unwrap();
+//! b.prepare(0).unwrap();
 //! while let Some((to, env)) = a.poll_output() {
 //!     assert_eq!(to, Recipient::Client(1));
 //!     b.handle(env).unwrap();
 //! }
-//! while let Some((to, env)) = b.poll_output() {
+//! while let Some((_, env)) = b.poll_output() {
 //!     a.handle(env).unwrap();
 //! }
 //!
 //! // upload + recovery
-//! a.upload_model(&[Fp61::from_u64(1); 4]).unwrap();
-//! b.upload_model(&[Fp61::from_u64(2); 4]).unwrap();
+//! server.open_round(0).unwrap();
+//! a.upload(0, &[Fp61::from_u64(1); 4]).unwrap();
+//! b.upload(0, &[Fp61::from_u64(2); 4]).unwrap();
 //! for c in [&mut a, &mut b] {
 //!     while let Some((_, env)) = c.poll_output() {
 //!         server.handle(env).unwrap();
@@ -56,17 +70,15 @@
 //!         server.handle(reply).unwrap();
 //!     }
 //! }
-//! assert_eq!(server.recover().unwrap()[0], Fp61::from_u64(3));
+//! assert_eq!(server.close_round().unwrap()[0], Fp61::from_u64(3));
 //! ```
 
 use crate::asynchronous::{AsyncClient, AsyncServer, WeightedAggregate};
-use crate::client::Client;
 use crate::config::LsaConfig;
 use crate::federation::seam::{LeafClient, LeafServer};
 use crate::federation::RoundOutcome;
-use crate::ratchet::{Commit, CommitTracker, PadTopology, RatchetBank};
-use crate::server::{ServerPhase, ServerRound};
-use crate::wire::{BufferAnnouncement, Envelope, SurvivorAnnouncement};
+use crate::ratchet::{Commit, CommitTracker, RatchetBank};
+use crate::wire::{BufferAnnouncement, Envelope};
 use crate::ProtocolError;
 use lsa_field::Field;
 use lsa_quantize::QuantizedStaleness;
@@ -86,7 +98,7 @@ pub enum Recipient {
 /// An envelope together with its destination.
 pub type Outgoing<F> = (Recipient, Envelope<F>);
 
-/// The uniform sans-IO interface every session implements.
+/// The uniform sans-IO interface every endpoint implements.
 pub trait Session<F: Field> {
     /// This session's own address.
     fn local_addr(&self) -> Recipient;
@@ -99,370 +111,15 @@ pub trait Session<F: Field> {
     /// Every malformed input surfaces as a typed [`ProtocolError`]:
     /// misrouted shares, duplicates, wrong-phase messages and envelope
     /// kinds the endpoint never accepts
-    /// ([`ProtocolError::UnexpectedEnvelope`]). Errors leave the session
-    /// in its previous state; the offending envelope is discarded.
+    /// ([`ProtocolError::UnexpectedEnvelope`]). Errors leave the
+    /// endpoint in its previous state; the offending envelope is
+    /// discarded.
     fn handle(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError>;
 
-    /// Drain the next envelope produced by a local action (construction,
-    /// upload, phase close). Returns `None` when the outbox is empty.
+    /// Drain the next envelope produced by a local action (joining a
+    /// round, upload, phase close). Returns `None` when the outbox is
+    /// empty.
     fn poll_output(&mut self) -> Option<Outgoing<F>>;
-}
-
-// ---------------------------------------------------------------------
-// Synchronous protocol
-// ---------------------------------------------------------------------
-
-/// Sans-IO client for the synchronous protocol (§4.1).
-///
-/// Construction runs the offline mask generation (the only entropy the
-/// session ever uses) and queues the `N − 1` coded mask shares;
-/// [`ClientSession::upload_model`] queues the masked model; receiving
-/// the server's [`SurvivorAnnouncement`] yields the aggregated share.
-#[derive(Debug, Clone)]
-pub struct ClientSession<F> {
-    inner: Client<F>,
-    outbox: VecDeque<Outgoing<F>>,
-    uploaded: bool,
-}
-
-impl<F: Field> ClientSession<F> {
-    /// Create the session for user `id` at round 0, sampling the local
-    /// mask from `rng` (entropy is injected here and never used again).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::InvalidConfig`] if `id >= cfg.n()`.
-    pub fn new<R: Rng + ?Sized>(
-        id: usize,
-        cfg: LsaConfig,
-        rng: &mut R,
-    ) -> Result<Self, ProtocolError> {
-        Self::for_round(id, 0, cfg, rng)
-    }
-
-    /// Create the session for user `id` serving federation round
-    /// `round`. Every emitted envelope is stamped with `round`; every
-    /// accepted envelope must carry it, or the session rejects it as
-    /// [`ProtocolError::StaleRound`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::InvalidConfig`] if `id >= cfg.n()`.
-    pub fn for_round<R: Rng + ?Sized>(
-        id: usize,
-        round: u64,
-        cfg: LsaConfig,
-        rng: &mut R,
-    ) -> Result<Self, ProtocolError> {
-        Self::for_round_in_group(id, round, 0, cfg, rng)
-    }
-
-    /// As [`Self::for_round`], but serving aggregation group `group` of a
-    /// grouped topology ([`crate::topology`]); `id` is group-local and
-    /// cross-group envelopes are rejected with
-    /// [`ProtocolError::WrongGroup`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::InvalidConfig`] if `id >= cfg.n()`.
-    pub fn for_round_in_group<R: Rng + ?Sized>(
-        id: usize,
-        round: u64,
-        group: usize,
-        cfg: LsaConfig,
-        rng: &mut R,
-    ) -> Result<Self, ProtocolError> {
-        let inner = Client::for_round_in_group(id, round, group, cfg, rng)?;
-        let outbox = inner
-            .outgoing_shares()
-            .into_iter()
-            .map(|s| (Recipient::Client(s.to), Envelope::CodedMaskShare(s)))
-            .collect();
-        Ok(Self {
-            inner,
-            outbox,
-            uploaded: false,
-        })
-    }
-
-    /// Derive a session for a *ratcheted* round from retained base
-    /// state ([`crate::ratchet`]): no coded shares are queued, and the
-    /// handshake ack (if the round has one) is the caller's to send.
-    pub(crate) fn ratcheted(
-        base: &Client<F>,
-        round: u64,
-        nonce: u64,
-        topology: PadTopology,
-    ) -> Self {
-        Self {
-            inner: Client::ratcheted_from(base, round, nonce, topology),
-            outbox: VecDeque::new(),
-            uploaded: false,
-        }
-    }
-
-    /// Consume the session into its client state (for harvesting
-    /// ratchet bases).
-    pub(crate) fn into_client(self) -> Client<F> {
-        self.inner
-    }
-
-    /// This client's user index.
-    pub fn id(&self) -> usize {
-        self.inner.id()
-    }
-
-    /// The federation round this session is serving.
-    pub fn round(&self) -> u64 {
-        self.inner.round()
-    }
-
-    /// The aggregation group this session belongs to (0 when flat).
-    pub fn group(&self) -> usize {
-        self.inner.group()
-    }
-
-    /// How many coded shares have been received (incl. the self share).
-    pub fn shares_received(&self) -> usize {
-        self.inner.shares_received()
-    }
-
-    /// Local action: mask the quantized model and queue the upload
-    /// (Algorithm 1 line 14).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::DuplicateMessage`] on a second upload, or a
-    /// length mismatch as [`ProtocolError::Coding`].
-    pub fn upload_model(&mut self, model: &[F]) -> Result<(), ProtocolError> {
-        if self.uploaded {
-            return Err(ProtocolError::DuplicateMessage(self.inner.id()));
-        }
-        let masked = self.inner.mask_model(model)?;
-        self.uploaded = true;
-        self.outbox
-            .push_back((Recipient::Server, Envelope::MaskedModel(masked)));
-        Ok(())
-    }
-
-    /// Local action: upload a weighted model `s_i·x_i` (Remark 3).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::upload_model`].
-    pub fn upload_weighted_model(&mut self, model: &[F], weight: u64) -> Result<(), ProtocolError> {
-        if self.uploaded {
-            return Err(ProtocolError::DuplicateMessage(self.inner.id()));
-        }
-        let masked = self.inner.mask_weighted_model(model, weight)?;
-        self.uploaded = true;
-        self.outbox
-            .push_back((Recipient::Server, Envelope::MaskedModel(masked)));
-        Ok(())
-    }
-}
-
-impl<F: Field> Session<F> for ClientSession<F> {
-    fn local_addr(&self) -> Recipient {
-        Recipient::Client(self.inner.id())
-    }
-
-    fn handle(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
-        match envelope {
-            Envelope::CodedMaskShare(share) => {
-                self.inner.receive_share(share)?;
-                Ok(Vec::new())
-            }
-            Envelope::SurvivorAnnouncement(ann) => {
-                if ann.group != self.inner.group() {
-                    return Err(ProtocolError::WrongGroup {
-                        got: ann.group,
-                        expected: self.inner.group(),
-                    });
-                }
-                if ann.round != self.inner.round() {
-                    return Err(ProtocolError::StaleRound {
-                        got: ann.round,
-                        current: self.inner.round(),
-                    });
-                }
-                let share = self.inner.aggregated_share_for(&ann.survivors)?;
-                Ok(vec![(Recipient::Server, Envelope::AggregatedShare(share))])
-            }
-            other => Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
-        }
-    }
-
-    fn poll_output(&mut self) -> Option<Outgoing<F>> {
-        self.outbox.pop_front()
-    }
-}
-
-/// Sans-IO server for the synchronous protocol (§4.1).
-///
-/// Collects masked models; [`ServerSession::close_upload`] fixes the
-/// survivor set and queues one [`SurvivorAnnouncement`] per survivor;
-/// once `U` aggregated shares arrive, [`ServerSession::recover`] runs
-/// the one-shot decode and caches the aggregate.
-///
-/// Recovery is **deliberately lazy**: receiving the `U`-th share only
-/// marks the session ready. The `O(U²) + O(U·d)` decode runs when the
-/// owner asks for the aggregate — which lets a grouped topology decode
-/// its `G` independent groups on a thread pool instead of inline in the
-/// (serial) message-pump.
-#[derive(Debug, Clone)]
-pub struct ServerSession<F: Field> {
-    inner: ServerRound<F>,
-    outbox: VecDeque<Outgoing<F>>,
-    aggregate: Option<Vec<F>>,
-}
-
-impl<F: Field> ServerSession<F> {
-    /// Start round 0 (single-round use).
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid configuration as [`ProtocolError::Coding`].
-    pub fn new(cfg: LsaConfig) -> Result<Self, ProtocolError> {
-        Self::for_round(cfg, 0)
-    }
-
-    /// Start the server session for federation round `round`; envelopes
-    /// stamped with any other round are rejected as
-    /// [`ProtocolError::StaleRound`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid configuration as [`ProtocolError::Coding`].
-    pub fn for_round(cfg: LsaConfig, round: u64) -> Result<Self, ProtocolError> {
-        Self::for_round_in_group(cfg, round, 0)
-    }
-
-    /// As [`Self::for_round`], but serving aggregation group `group` of a
-    /// grouped topology ([`crate::topology`]); cross-group envelopes are
-    /// rejected with [`ProtocolError::WrongGroup`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid configuration as [`ProtocolError::Coding`].
-    pub fn for_round_in_group(
-        cfg: LsaConfig,
-        round: u64,
-        group: usize,
-    ) -> Result<Self, ProtocolError> {
-        Ok(Self {
-            inner: ServerRound::for_round_in_group(cfg, round, group)?,
-            outbox: VecDeque::new(),
-            aggregate: None,
-        })
-    }
-
-    /// Current protocol phase.
-    pub fn phase(&self) -> ServerPhase {
-        self.inner.phase()
-    }
-
-    /// The federation round this session is serving.
-    pub fn round(&self) -> u64 {
-        self.inner.round()
-    }
-
-    /// The aggregation group this session serves (0 when flat).
-    pub fn group(&self) -> usize {
-        self.inner.group()
-    }
-
-    /// How many masked models have been received.
-    pub fn models_received(&self) -> usize {
-        self.inner.models_received()
-    }
-
-    /// How many aggregated shares have been received.
-    pub fn shares_received(&self) -> usize {
-        self.inner.shares_received()
-    }
-
-    /// The survivor set `U₁` (valid after [`Self::close_upload`]).
-    pub fn survivors(&self) -> &[usize] {
-        self.inner.survivors()
-    }
-
-    /// Local action: close the upload phase, fix `U₁`, and queue a
-    /// [`SurvivorAnnouncement`] to every survivor.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::NotEnoughSurvivors`] if fewer than `U` users
-    /// uploaded, [`ProtocolError::WrongPhase`] on a second close.
-    pub fn close_upload(&mut self) -> Result<&[usize], ProtocolError> {
-        let round = self.inner.round();
-        let group = self.inner.group();
-        let survivors = self.inner.close_upload_phase()?.to_vec();
-        for &s in &survivors {
-            self.outbox.push_back((
-                Recipient::Client(s),
-                Envelope::SurvivorAnnouncement(SurvivorAnnouncement {
-                    group,
-                    round,
-                    survivors: survivors.clone(),
-                }),
-            ));
-        }
-        Ok(self.inner.survivors())
-    }
-
-    /// The recovered aggregate. Runs the one-shot decode on first call
-    /// (once `U` aggregated shares have arrived) and caches the result;
-    /// later calls are free.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::WrongPhase`] before `U` shares arrived, or a
-    /// [`ProtocolError::Coding`] decode failure.
-    pub fn recover(&mut self) -> Result<&[F], ProtocolError> {
-        if self.aggregate.is_none() {
-            self.aggregate = Some(self.inner.recover_aggregate()?);
-        }
-        Ok(self.aggregate.as_deref().expect("just recovered"))
-    }
-
-    /// The cached aggregate, if [`Self::recover`] has run.
-    pub fn aggregate(&self) -> Option<&[F]> {
-        self.aggregate.as_deref()
-    }
-
-    /// Whether `U` aggregated shares have arrived, i.e. whether
-    /// [`Self::recover`] will succeed (or already has).
-    pub fn is_complete(&self) -> bool {
-        self.aggregate.is_some() || self.inner.phase() == ServerPhase::ReadyToRecover
-    }
-}
-
-impl<F: Field> Session<F> for ServerSession<F> {
-    fn local_addr(&self) -> Recipient {
-        Recipient::Server
-    }
-
-    fn handle(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
-        match envelope {
-            Envelope::MaskedModel(m) => {
-                self.inner.receive_masked_model(m)?;
-                Ok(Vec::new())
-            }
-            Envelope::AggregatedShare(s) => {
-                // receiving the U-th share only marks the session ready;
-                // the decode itself is deferred to `recover()` so owners
-                // can schedule it (e.g. in parallel across groups)
-                self.inner.receive_aggregated_share(s)?;
-                Ok(Vec::new())
-            }
-            other => Err(ProtocolError::UnexpectedEnvelope { kind: other.kind() }),
-        }
-    }
-
-    fn poll_output(&mut self) -> Option<Outgoing<F>> {
-        self.outbox.pop_front()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -498,12 +155,6 @@ impl<F: Field> AsyncClientSession<F> {
             outbox: VecDeque::new(),
             bank: RatchetBank::new(),
         })
-    }
-
-    /// Override the pad topology used for ratcheted rounds (defaults to
-    /// the `LSA_PAD_TOPOLOGY` environment knob at construction).
-    pub fn set_pad_topology(&mut self, topology: PadTopology) {
-        self.bank.set_topology(topology);
     }
 
     /// Create with an entropy stream derived from `rng` (convenience for
@@ -855,16 +506,24 @@ impl<F: Field> Session<F> for AsyncServerSession<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::federation::{FederationClient, FederationServer};
+    use crate::ratchet::PadTopology;
     use lsa_field::Fp61;
 
     fn cfg() -> LsaConfig {
         LsaConfig::new(4, 1, 3, 6).unwrap()
     }
 
+    /// The synchronous client endpoint `id`, joined to round 0.
+    fn joined(id: usize, seed: u64) -> FederationClient<Fp61> {
+        let mut c = FederationClient::new(id, cfg(), StdRng::seed_from_u64(seed)).unwrap();
+        c.prepare(0).unwrap();
+        c
+    }
+
     #[test]
     fn construction_queues_shares() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut c = ClientSession::<Fp61>::new(0, cfg(), &mut rng).unwrap();
+        let mut c = joined(0, 1);
         let mut count = 0;
         while let Some((to, env)) = c.poll_output() {
             assert!(matches!(env, Envelope::CodedMaskShare(_)));
@@ -876,19 +535,17 @@ mod tests {
 
     #[test]
     fn double_upload_rejected() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut c = ClientSession::<Fp61>::new(0, cfg(), &mut rng).unwrap();
-        c.upload_model(&[Fp61::ZERO; 6]).unwrap();
+        let mut c = joined(0, 2);
+        c.upload(0, &[Fp61::ZERO; 6]).unwrap();
         assert!(matches!(
-            c.upload_model(&[Fp61::ZERO; 6]),
+            c.upload(0, &[Fp61::ZERO; 6]),
             Err(ProtocolError::DuplicateMessage(0))
         ));
     }
 
     #[test]
     fn client_rejects_server_bound_envelopes() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut c = ClientSession::<Fp61>::new(0, cfg(), &mut rng).unwrap();
+        let mut c = joined(0, 3);
         let masked = Envelope::MaskedModel(crate::messages::MaskedModel {
             from: 1,
             group: 0,
@@ -905,8 +562,9 @@ mod tests {
 
     #[test]
     fn server_rejects_client_bound_envelopes() {
-        let mut s = ServerSession::<Fp61>::new(cfg()).unwrap();
-        let ann = Envelope::SurvivorAnnouncement(SurvivorAnnouncement {
+        let mut s = FederationServer::<Fp61>::new(cfg());
+        s.open_round(0).unwrap();
+        let ann = Envelope::SurvivorAnnouncement(crate::wire::SurvivorAnnouncement {
             group: 0,
             round: 0,
             survivors: vec![0, 1, 2],
@@ -921,12 +579,10 @@ mod tests {
 
     #[test]
     fn full_round_through_sessions() {
-        let cfg = cfg();
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut clients: Vec<ClientSession<Fp61>> = (0..4)
-            .map(|id| ClientSession::new(id, cfg, &mut rng).unwrap())
-            .collect();
-        let mut server = ServerSession::<Fp61>::new(cfg).unwrap();
+        let mut clients: Vec<FederationClient<Fp61>> =
+            (0..4).map(|id| joined(id, 4 + id as u64)).collect();
+        let mut server = FederationServer::<Fp61>::new(cfg());
+        server.open_round(0).unwrap();
 
         // offline exchange
         let mut pending = Vec::new();
@@ -942,7 +598,7 @@ mod tests {
 
         // upload
         for (i, c) in clients.iter_mut().enumerate() {
-            c.upload_model(&[Fp61::from_u64(i as u64); 6]).unwrap();
+            c.upload(0, &[Fp61::from_u64(i as u64); 6]).unwrap();
             while let Some((to, env)) = c.poll_output() {
                 assert_eq!(to, Recipient::Server);
                 server.handle(env).unwrap();
@@ -961,11 +617,16 @@ mod tests {
                 server.handle(reply).unwrap();
             }
         }
-        assert!(server.is_complete());
-        // the decode is lazy: nothing cached until recover() runs
-        assert!(server.aggregate().is_none());
-        assert_eq!(server.recover().unwrap(), vec![Fp61::from_u64(6); 6]);
-        assert_eq!(server.aggregate().unwrap(), vec![Fp61::from_u64(6); 6]);
+        assert_eq!(server.shares_received(), 4);
+        // the decode is lazy: the last share left the round open, and
+        // close_round decodes it exactly once
+        assert!(server.is_open());
+        assert_eq!(server.close_round().unwrap(), vec![Fp61::from_u64(6); 6]);
+        assert!(!server.is_open());
+        assert!(matches!(
+            server.close_round(),
+            Err(ProtocolError::WrongPhase)
+        ));
     }
 
     #[test]

@@ -6,18 +6,19 @@
 //! reconstructs the aggregate mask in one shot (cost d).
 //!
 //! The LightSecAgg half is driven **envelope by envelope** through the
-//! sans-IO session API, printing every message that crosses the wire —
-//! the protocol engine with its transport stripped away.
+//! sans-IO endpoints (`FederationClient` / `FederationServer`), printing
+//! every message that crosses the wire — the protocol engine with its
+//! transport stripped away.
 //!
 //! Run with: `cargo run --example three_user_walkthrough`
 
 use lightsecagg::baselines::{run_secagg_round, SecAggConfig};
 use lightsecagg::field::{Field, Fp61};
-use lightsecagg::protocol::session::{ClientSession, Recipient, ServerSession, Session};
+use lightsecagg::protocol::session::{Recipient, Session};
 use lightsecagg::protocol::wire::Envelope;
-use lightsecagg::protocol::{DropoutSchedule, LsaConfig};
+use lightsecagg::protocol::{DropoutSchedule, FederationClient, FederationServer, LsaConfig};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn describe(env: &Envelope<Fp61>) -> String {
     format!("{} ({} bytes)", env.kind().name(), env.wire_len())
@@ -58,12 +59,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== LightSecAgg (Figure 3), pumped by hand ===");
     let cfg = LsaConfig::new(3, 1, 2, d)?;
 
-    // Offline: constructing a session samples the mask z_i and queues
-    // the coded shares [~z_i]_j for the other users.
-    let mut clients: Vec<ClientSession<Fp61>> = (0..3)
-        .map(|id| ClientSession::new(id, cfg, &mut rng))
-        .collect::<Result<_, _>>()?;
-    let mut server = ServerSession::<Fp61>::new(cfg)?;
+    // Offline: joining round 0 samples the mask z_i and queues the
+    // coded shares [~z_i]_j for the other users.
+    let mut clients = Vec::new();
+    for id in 0..3 {
+        let mut client = FederationClient::<Fp61>::new(id, cfg, StdRng::seed_from_u64(rng.gen()))?;
+        client.prepare(0)?;
+        clients.push(client);
+    }
+    let mut server = FederationServer::<Fp61>::new(cfg);
+    server.open_round(0)?;
 
     println!("-- offline phase: coded mask exchange --");
     let mut in_flight = Vec::new();
@@ -85,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the local action; nothing else changes.
     println!("-- upload phase (user 0 dropped) --");
     for c in clients.iter_mut().skip(1) {
-        c.upload_model(&models[c.id()])?;
+        c.upload(0, &models[c.id()])?;
         while let Some((_, env)) = c.poll_output() {
             println!("  user {} -> Server: {}", c.id(), describe(&env));
             server.handle(env)?;
@@ -111,7 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let aggregate = server.recover().expect("U shares arrived").to_vec();
+    let aggregate = server.close_round().expect("U shares arrived");
     assert_eq!(aggregate, expect);
     println!("server work: ONE MDS decode of the aggregate mask (the paper's d)");
     println!("aggregate x2 + x3 recovered correctly");

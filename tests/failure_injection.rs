@@ -2,16 +2,17 @@
 //! messages must yield clean errors — never a silently wrong aggregate.
 //!
 //! The second half drives the same failures through the sans-IO
-//! [`Session::handle`] interface: every misrouted, duplicate or
-//! wrong-phase *envelope* must surface as a typed [`ProtocolError`],
+//! [`Session::handle`] interface of the synchronous endpoints
+//! (`FederationClient` / `FederationServer`): every misrouted, duplicate
+//! or wrong-phase *envelope* must surface as a typed [`ProtocolError`],
 //! never a panic or a silent drop.
 
 use lightsecagg::field::{Field, Fp61};
-use lightsecagg::protocol::session::{ClientSession, ServerSession, Session};
+use lightsecagg::protocol::session::Session;
 use lightsecagg::protocol::wire::{Envelope, EnvelopeKind, SurvivorAnnouncement};
 use lightsecagg::protocol::{
-    AggregatedShare, Client, CodedMaskShare, DropoutSchedule, LsaConfig, MaskedModel,
-    ProtocolError, ServerRound,
+    AggregatedShare, Client, CodedMaskShare, DropoutSchedule, FederationClient, FederationServer,
+    LsaConfig, MaskedModel, ProtocolError, ServerRound,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -161,10 +162,16 @@ fn weighted_models_recover_weighted_sum() {
 // `handle()` yields a typed error.
 // ---------------------------------------------------------------------
 
-fn built_sessions(seed: u64) -> (Vec<ClientSession<Fp61>>, ServerSession<Fp61>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut clients: Vec<ClientSession<Fp61>> = (0..5)
-        .map(|id| ClientSession::new(id, cfg(), &mut rng).unwrap())
+/// Five clients that finished round 0's offline exchange, and the
+/// server with round 0 open.
+fn built_endpoints(seed: u64) -> (Vec<FederationClient<Fp61>>, FederationServer<Fp61>) {
+    let mut clients: Vec<FederationClient<Fp61>> = (0..5)
+        .map(|id| {
+            let entropy = StdRng::seed_from_u64(seed * 5 + id as u64);
+            let mut client = FederationClient::new(id, cfg(), entropy).unwrap();
+            client.prepare(0).unwrap();
+            client
+        })
         .collect();
     let mut pending = Vec::new();
     for c in clients.iter_mut() {
@@ -178,12 +185,14 @@ fn built_sessions(seed: u64) -> (Vec<ClientSession<Fp61>>, ServerSession<Fp61>) 
         };
         clients[j].handle(env).unwrap();
     }
-    (clients, ServerSession::new(cfg()).unwrap())
+    let mut server = FederationServer::new(cfg());
+    server.open_round(0).unwrap();
+    (clients, server)
 }
 
 #[test]
 fn misrouted_envelope_yields_typed_error() {
-    let (mut clients, _server) = built_sessions(10);
+    let (mut clients, _server) = built_endpoints(10);
     // a share addressed to user 2, delivered to user 1's session
     let share = Envelope::CodedMaskShare(CodedMaskShare {
         from: 0,
@@ -203,7 +212,7 @@ fn misrouted_envelope_yields_typed_error() {
 
 #[test]
 fn duplicate_envelope_yields_typed_error() {
-    let (mut clients, mut server) = built_sessions(11);
+    let (mut clients, mut server) = built_endpoints(11);
     // duplicate coded share: user 1 already holds user 0's share
     let dup = Envelope::CodedMaskShare(CodedMaskShare {
         from: 0,
@@ -217,7 +226,7 @@ fn duplicate_envelope_yields_typed_error() {
         Err(ProtocolError::DuplicateMessage(0))
     ));
     // duplicate masked model at the server
-    clients[0].upload_model(&[Fp61::ZERO; 8]).unwrap();
+    clients[0].upload(0, &[Fp61::ZERO; 8]).unwrap();
     let (_, upload) = clients[0].poll_output().unwrap();
     server.handle(upload.clone()).unwrap();
     assert!(matches!(
@@ -228,7 +237,7 @@ fn duplicate_envelope_yields_typed_error() {
 
 #[test]
 fn wrong_phase_envelope_yields_typed_error() {
-    let (clients, mut server) = built_sessions(12);
+    let (clients, mut server) = built_endpoints(12);
     // an aggregated share before the upload phase closed
     let early = Envelope::AggregatedShare(AggregatedShare {
         from: 0,
@@ -245,7 +254,7 @@ fn wrong_phase_envelope_yields_typed_error() {
 
 #[test]
 fn wrong_endpoint_envelope_yields_typed_error() {
-    let (mut clients, mut server) = built_sessions(13);
+    let (mut clients, mut server) = built_endpoints(13);
     // a survivor announcement delivered to the *server* is nonsense
     let ann = Envelope::SurvivorAnnouncement(SurvivorAnnouncement {
         group: 0,
@@ -293,7 +302,7 @@ fn corrupted_wire_bytes_yield_typed_error() {
 
 #[test]
 fn unknown_user_envelope_yields_typed_error() {
-    let (_, mut server) = built_sessions(14);
+    let (_, mut server) = built_endpoints(14);
     let ghost = Envelope::MaskedModel(MaskedModel {
         from: 99,
         group: 0,
@@ -309,7 +318,7 @@ fn unknown_user_envelope_yields_typed_error() {
 #[test]
 fn failed_handle_leaves_session_usable() {
     // after rejecting garbage, the round still completes exactly
-    let (mut clients, mut server) = built_sessions(15);
+    let (mut clients, mut server) = built_endpoints(15);
     let garbage = Envelope::AggregatedShare(AggregatedShare {
         from: 0,
         group: 0,
@@ -319,7 +328,7 @@ fn failed_handle_leaves_session_usable() {
     assert!(server.handle(garbage).is_err());
 
     for (i, c) in clients.iter_mut().enumerate() {
-        c.upload_model(&[Fp61::from_u64(i as u64); 8]).unwrap();
+        c.upload(0, &[Fp61::from_u64(i as u64); 8]).unwrap();
         while let Some((_, env)) = c.poll_output() {
             server.handle(env).unwrap();
         }
@@ -338,7 +347,7 @@ fn failed_handle_leaves_session_usable() {
         }
     }
     let want: Fp61 = (0..5).map(Fp61::from_u64).sum();
-    assert_eq!(server.recover().unwrap(), vec![want; 8]);
+    assert_eq!(server.close_round().unwrap(), vec![want; 8]);
 }
 
 // ---------------------------------------------------------------------
@@ -417,45 +426,49 @@ fn sync_envelope_replayed_into_next_round_rejected_as_stale() {
     // Capture a round-0 masked-model envelope off the wire, then replay
     // it into the round-1 server: it must surface as StaleRound — a
     // *typed* cross-round rejection, distinct from DuplicateMessage.
-    let mut rng = StdRng::seed_from_u64(30);
-    let mut client_r0 = ClientSession::<Fp61>::for_round(0, 0, cfg(), &mut rng).unwrap();
-    while client_r0.poll_output().is_some() {} // discard offline shares
-    client_r0.upload_model(&[Fp61::ONE; 8]).unwrap();
-    let (_, replayed) = client_r0.poll_output().unwrap();
+    let mut client = FederationClient::<Fp61>::new(0, cfg(), StdRng::seed_from_u64(30)).unwrap();
+    client.prepare(0).unwrap();
+    while client.poll_output().is_some() {} // discard offline shares
+    client.upload(0, &[Fp61::ONE; 8]).unwrap();
+    let (_, replayed) = client.poll_output().unwrap();
 
-    let mut server_r0 = ServerSession::<Fp61>::for_round(cfg(), 0).unwrap();
-    server_r0.handle(replayed.clone()).unwrap();
+    let mut server = FederationServer::<Fp61>::new(cfg());
+    server.open_round(0).unwrap();
+    server.handle(replayed.clone()).unwrap();
     // same round, same envelope again → duplicate
     assert!(matches!(
-        server_r0.handle(replayed.clone()),
+        server.handle(replayed.clone()),
         Err(ProtocolError::DuplicateMessage(0))
     ));
-    // next round, replayed envelope → stale, NOT duplicate
-    let mut server_r1 = ServerSession::<Fp61>::for_round(cfg(), 1).unwrap();
+    // the server moves on to round 1: the replayed envelope → stale,
+    // NOT duplicate
+    server.abort_round();
+    server.open_round(1).unwrap();
     assert!(matches!(
-        server_r1.handle(replayed),
+        server.handle(replayed),
         Err(ProtocolError::StaleRound { got: 0, current: 1 })
     ));
 }
 
 #[test]
 fn replayed_coded_share_and_announcement_also_stale() {
-    let mut rng = StdRng::seed_from_u64(31);
-    // a round-0 coded share delivered to a round-1 client session
-    let sender_r0 = ClientSession::<Fp61>::for_round(0, 0, cfg(), &mut rng);
-    let mut sender_r0 = sender_r0.unwrap();
+    // a round-0 coded share delivered to a client serving round 1
+    let mut sender_r0 = FederationClient::<Fp61>::new(0, cfg(), StdRng::seed_from_u64(31)).unwrap();
+    sender_r0.prepare(0).unwrap();
     let share = loop {
         let (to, env) = sender_r0.poll_output().unwrap();
         if to == lightsecagg::protocol::Recipient::Client(1) {
             break env;
         }
     };
-    let mut receiver_r1 = ClientSession::<Fp61>::for_round(1, 1, cfg(), &mut rng).unwrap();
+    let mut receiver_r1 =
+        FederationClient::<Fp61>::new(1, cfg(), StdRng::seed_from_u64(32)).unwrap();
+    receiver_r1.prepare(1).unwrap();
     assert!(matches!(
         receiver_r1.handle(share),
         Err(ProtocolError::StaleRound { got: 0, current: 1 })
     ));
-    // a round-0 survivor announcement into a round-1 client session
+    // a round-0 survivor announcement into the same round-1 client
     let stale_ann = Envelope::SurvivorAnnouncement(SurvivorAnnouncement {
         group: 0,
         round: 0,
@@ -487,8 +500,6 @@ fn aggregate_differs_from_any_individual_model() {
 // once at the quota crossing, then silently quarantined — and the round
 // completes without it.
 // ---------------------------------------------------------------------
-
-use lightsecagg::protocol::FederationServer;
 
 #[test]
 fn flooding_client_is_quarantined_and_the_round_completes() {
