@@ -25,7 +25,7 @@
 //! across thread counts.
 //!
 //! The pre-refactor one-reduction-per-op loops survive in
-//! [`reference`] as the oracle for equivalence tests and the baseline
+//! [`mod@reference`] as the oracle for equivalence tests and the baseline
 //! for the `field_kernels` bench.
 
 use crate::{par, simd, Field};

@@ -10,48 +10,36 @@
 //!
 //! Staleness compensation happens inside the field via the quantized
 //! weights `s_{c_g}(τ)` of Eq. (34).
+//!
+//! Round stamps and weights aside, this is the synchronous protocol on
+//! the synchronous core: [`AsyncClient`] keeps one [`crate::Client`] per
+//! masked round, and an announced flush recovers as a
+//! [`crate::ServerRound`].
 
+use crate::client::Client;
 use crate::config::LsaConfig;
 use crate::federation::{drain_to, pump};
-use crate::messages::AggregatedShare;
+use crate::messages::{AggregatedShare, CodedMaskShare, MaskedModel};
+use crate::server::ServerRound;
 use crate::session::{AsyncClientSession, AsyncServerSession};
 use crate::transport::Transport;
 use crate::ProtocolError;
-use lsa_coding::{vandermonde, VandermondeCode};
 use lsa_field::Field;
 use lsa_quantize::{QuantizedStaleness, VectorQuantizer};
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A coded mask share tagged with the generation round (Appendix F.3.1).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimestampedShare<F> {
-    /// Mask owner.
-    pub from: usize,
-    /// Recipient.
-    pub to: usize,
-    /// Aggregation group (the buffered-async variant runs flat, so this
-    /// is always 0; non-zero shares are rejected as cross-group).
-    pub group: usize,
-    /// Round `t_i` in which the mask was generated.
-    pub round: u64,
-    /// Coded segment `[~z_from^{(round)}]_to`.
-    pub payload: Vec<F>,
-}
+/// A coded mask share tagged with the generation round (Appendix F.3.1):
+/// the synchronous [`CodedMaskShare`], whose `round` is the round `t_i`
+/// the mask was generated in. It travels under its own wire tag
+/// ([`crate::wire::Envelope::TimestampedShare`]).
+pub type TimestampedShare<F> = CodedMaskShare<F>;
 
 /// A masked, quantized local update tagged with its base round
-/// (Appendix F.3.2): `~Δ_i = Δ̄_i + z_i^{(t_i)}`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimestampedUpdate<F> {
-    /// Uploading user.
-    pub from: usize,
-    /// Aggregation group (always 0 — see [`TimestampedShare::group`]).
-    pub group: usize,
-    /// Round `t_i` the user based its update on.
-    pub round: u64,
-    /// Masked quantized update, padded length.
-    pub payload: Vec<F>,
-}
+/// (Appendix F.3.2), `~Δ_i = Δ̄_i + z_i^{(t_i)}`: the synchronous
+/// [`MaskedModel`] under its own wire tag
+/// ([`crate::wire::Envelope::TimestampedUpdate`]).
+pub type TimestampedUpdate<F> = MaskedModel<F>;
 
 /// One buffered entry the server announces for mask aggregation:
 /// user `who` contributed an update based on round `round`, to be weighted
@@ -68,27 +56,23 @@ pub struct BufferEntry {
 
 /// Client side of asynchronous LightSecAgg.
 ///
-/// Keeps every mask it generated (per round) plus every coded share it
-/// received (per sender and round), so it can serve aggregation requests
-/// that mix rounds.
+/// Every round this client masks runs on the synchronous [`Client`]: the
+/// same mask sampling and MDS encoding, share checks, masking and cached
+/// ratchet derivation. What is asynchronous stays here: rounds are kept
+/// side by side under their timestamps, shares for rounds this client
+/// never masked are kept by `(round, sender)` (a flush may name any
+/// buffered contributor's round), and aggregation requests mix rounds
+/// under staleness weights.
 #[derive(Debug, Clone)]
 pub struct AsyncClient<F> {
     id: usize,
     cfg: LsaConfig,
-    code: VandermondeCode<F>,
-    /// Own masks by round.
-    masks: BTreeMap<u64, Vec<F>>,
-    /// Received coded shares keyed by `(sender, round)`.
-    received: BTreeMap<(usize, u64), Vec<F>>,
-    /// Own coded shares as sent, keyed by `(recipient, round)` —
-    /// retained so a stable cohort can derive pairwise ratchet pads
-    /// from the share material both edge endpoints already hold
-    /// ([`crate::ratchet`]).
-    sent: BTreeMap<(usize, u64), Vec<F>>,
-    /// Pad-derivation epoch mixed into every ratchet pad seed; bumped
-    /// in lockstep across a cohort when seats are permuted without a
-    /// fresh exchange ([`crate::ratchet::reseat_epoch`]).
-    pad_epoch: u64,
+    /// The mask-owner state of every round this client masked.
+    pub(crate) rounds: BTreeMap<u64, Client<F>>,
+    /// Coded shares for rounds without a mask here, keyed by
+    /// `(round, sender)`; at most [`crate::FederationClient::pending_cap`]
+    /// of them.
+    foreign: BTreeMap<(u64, usize), TimestampedShare<F>>,
 }
 
 impl<F: Field> AsyncClient<F> {
@@ -98,28 +82,13 @@ impl<F: Field> AsyncClient<F> {
     ///
     /// Returns [`ProtocolError::InvalidConfig`] if `id >= cfg.n()`.
     pub fn new(id: usize, cfg: LsaConfig) -> Result<Self, ProtocolError> {
-        if id >= cfg.n() {
-            return Err(ProtocolError::InvalidConfig(format!(
-                "client id {id} out of range for N={}",
-                cfg.n()
-            )));
-        }
-        let code = VandermondeCode::new(cfg.n(), cfg.u())?;
+        crate::check_id(id, &cfg)?;
         Ok(Self {
             id,
             cfg,
-            code,
-            masks: BTreeMap::new(),
-            received: BTreeMap::new(),
-            sent: BTreeMap::new(),
-            pad_epoch: 0,
+            rounds: BTreeMap::new(),
+            foreign: BTreeMap::new(),
         })
-    }
-
-    /// Advance the pad-derivation epoch (cohort reseat without a fresh
-    /// exchange); every cohort member must apply the same `seed`.
-    pub fn bump_pad_epoch(&mut self, seed: u64) {
-        self.pad_epoch = crate::ratchet::reseat_epoch(self.pad_epoch, seed);
     }
 
     /// This client's user index.
@@ -129,7 +98,8 @@ impl<F: Field> AsyncClient<F> {
 
     /// Offline phase for round `round`: sample `z_i^{(round)}`, encode,
     /// and return the shares for the other users. The own share is stored
-    /// internally.
+    /// internally, and so are the shares that arrived for the round
+    /// before its mask existed.
     ///
     /// # Errors
     ///
@@ -140,69 +110,44 @@ impl<F: Field> AsyncClient<F> {
         round: u64,
         rng: &mut R,
     ) -> Result<Vec<TimestampedShare<F>>, ProtocolError> {
-        if self.masks.contains_key(&round) {
+        if self.rounds.contains_key(&round) {
             return Err(ProtocolError::DuplicateMessage(self.id));
         }
-        let mask = lsa_field::ops::random_vector(self.cfg.padded_len(), rng);
-        let mut segments = vandermonde::partition(&mask, self.cfg.data_segments())?;
-        for _ in 0..self.cfg.t() {
-            segments.push(lsa_field::ops::random_vector(self.cfg.segment_len(), rng));
+        let mut client = Client::for_round(self.id, round, self.cfg, rng)?;
+        // senders are < n, so the round's early shares sit below
+        // (round, usize::MAX)
+        let mut early = self.foreign.split_off(&(round, 0));
+        self.foreign
+            .append(&mut early.split_off(&(round, usize::MAX)));
+        for share in early.into_values() {
+            client.receive_share(share)?;
         }
-        let coded = self.code.encode_all(&segments);
-        self.masks.insert(round, mask);
-        self.received
-            .insert((self.id, round), coded[self.id].clone());
-        for (j, share) in coded.iter().enumerate() {
-            if j != self.id {
-                self.sent.insert((j, round), share.clone());
-            }
-        }
-        Ok((0..self.cfg.n())
-            .filter(|&j| j != self.id)
-            .map(|j| TimestampedShare {
-                from: self.id,
-                to: j,
-                group: 0,
-                round,
-                payload: coded[j].clone(),
-            })
-            .collect())
+        let shares = client.outgoing_shares();
+        self.rounds.insert(round, client);
+        Ok(shares)
     }
 
     /// Accept a timestamped coded share from a peer.
     ///
     /// # Errors
     ///
-    /// Mirrors [`crate::Client::receive_share`].
+    /// Those of [`crate::Client::receive_share`], and
+    /// [`ProtocolError::PendingOverflow`] once the shares held for rounds
+    /// this client never masked reach
+    /// [`crate::FederationClient::pending_cap`].
     pub fn receive_share(&mut self, share: TimestampedShare<F>) -> Result<(), ProtocolError> {
-        if share.group != 0 {
-            return Err(ProtocolError::WrongGroup {
-                got: share.group,
-                expected: 0,
-            });
+        if let Some(client) = self.rounds.get_mut(&share.round) {
+            return client.receive_share(share);
         }
-        if share.to != self.id {
-            return Err(ProtocolError::MisroutedShare {
-                expected: self.id,
-                got: share.to,
-            });
-        }
-        if share.from >= self.cfg.n() {
-            return Err(ProtocolError::UnknownUser(share.from));
-        }
-        if share.payload.len() != self.cfg.segment_len() {
-            return Err(ProtocolError::Coding(
-                lsa_coding::CodingError::LengthMismatch {
-                    expected: self.cfg.segment_len(),
-                    got: share.payload.len(),
-                },
-            ));
-        }
-        let key = (share.from, share.round);
-        if self.received.contains_key(&key) {
+        crate::client::check_share(&self.cfg, self.id, 0, share.round, &share)?;
+        // the own share of a round is the mask owner's to generate
+        let key = (share.round, share.from);
+        if share.from == self.id || self.foreign.contains_key(&key) {
             return Err(ProtocolError::DuplicateMessage(share.from));
         }
-        self.received.insert(key, share.payload);
+        let cap = crate::federation::pending_cap::<F>(self.cfg.n());
+        crate::check_pending(self.id, share.round, self.foreign.len(), cap)?;
+        self.foreign.insert(key, share);
         Ok(())
     }
 
@@ -225,27 +170,10 @@ impl<F: Field> AsyncClient<F> {
         round: u64,
         update: &[F],
     ) -> Result<TimestampedUpdate<F>, ProtocolError> {
-        if update.len() != self.cfg.d() {
-            return Err(ProtocolError::Coding(
-                lsa_coding::CodingError::LengthMismatch {
-                    expected: self.cfg.d(),
-                    got: update.len(),
-                },
-            ));
-        }
-        let mask = self
-            .masks
+        self.rounds
             .get(&round)
-            .ok_or(ProtocolError::MissingShares { from: self.id })?;
-        let mut payload = update.to_vec();
-        payload.resize(self.cfg.padded_len(), F::ZERO);
-        lsa_field::ops::add_assign(&mut payload, mask);
-        Ok(TimestampedUpdate {
-            from: self.id,
-            group: 0,
-            round,
-            payload,
-        })
+            .ok_or(ProtocolError::MissingShares { from: self.id })?
+            .mask_model(update)
     }
 
     /// Serve the server's aggregation request for the flush announced at
@@ -266,12 +194,12 @@ impl<F: Field> AsyncClient<F> {
         let mut weights = Vec::with_capacity(entries.len());
         let mut shares: Vec<&[F]> = Vec::with_capacity(entries.len());
         for e in entries {
-            let share = self
-                .received
-                .get(&(e.who, e.round))
-                .ok_or(ProtocolError::MissingShares { from: e.who })?;
+            let share = match self.rounds.get(&e.round) {
+                Some(client) => client.share_from(e.who),
+                None => self.foreign.get(&(e.round, e.who)).map(|s| &s.payload[..]),
+            };
             weights.push(F::from_u64(e.weight));
-            shares.push(share);
+            shares.push(share.ok_or(ProtocolError::MissingShares { from: e.who })?);
         }
         let mut acc = vec![F::ZERO; self.cfg.segment_len()];
         lsa_field::ops::weighted_sum_into(&mut acc, &weights, &shares);
@@ -286,47 +214,40 @@ impl<F: Field> AsyncClient<F> {
     /// Drop masks and shares for rounds `< keep_from` (bounded staleness
     /// means they can never be requested again).
     pub fn discard_before(&mut self, keep_from: u64) {
-        self.masks.retain(|&r, _| r >= keep_from);
-        self.received.retain(|&(_, r), _| r >= keep_from);
-        self.sent.retain(|&(_, r), _| r >= keep_from);
+        self.retain(|r| r >= keep_from);
     }
 
     /// Number of stored (sender, round) coded shares.
     pub fn shares_stored(&self) -> usize {
-        self.received.len()
+        let own: usize = self.rounds.values().map(Client::shares_received).sum();
+        own + self.foreign.len()
     }
 
     /// The most recent round a mask exists for, if any.
     pub fn latest_mask_round(&self) -> Option<u64> {
-        self.masks.keys().next_back().copied()
+        self.rounds.keys().next_back().copied()
     }
 
     /// Drop exactly one round's mask and share state — rollback of a
     /// half-built ratcheted round before falling back to a full
     /// exchange (which regenerates the round from scratch).
     pub fn forget_round(&mut self, round: u64) {
-        self.masks.remove(&round);
-        self.received.retain(|&(_, r), _| r != round);
-        self.sent.retain(|&(_, r), _| r != round);
+        self.retain(|r| r != round);
     }
 
     /// Derive the mask for `round` by ratcheting `base_round`'s retained
-    /// state under `nonce` ([`crate::ratchet`]): the new mask is the
-    /// base mask plus pairwise-cancelling PRG pads over the edges
-    /// `topology` assigns this member, and the base round's coded
-    /// shares are re-filed under `round` so aggregation requests
-    /// naming `(who, round)` resolve to the base shares (re-filing
-    /// covers *every* peer regardless of topology — recovery still
-    /// needs the full share set). No share traffic is produced. State
-    /// from earlier *ratcheted* rounds (between the base and `round`)
-    /// is dropped — only the base must stay resident.
+    /// state under `nonce` and `topology` ([`crate::ratchet`]), as the
+    /// synchronous client does, from the base round's cached edge seeds.
+    /// The new round shares the base round's coded shares, so requests
+    /// naming `(who, round)` resolve to them (for *every* peer — recovery
+    /// needs the full share set). No share traffic is produced.
     ///
     /// # Errors
     ///
     /// * [`ProtocolError::DuplicateMessage`] if `round` already has a
     ///   mask;
-    /// * [`ProtocolError::RatchetMismatch`] if the base round's mask or
-    ///   any edge peer's base share material is missing.
+    /// * [`ProtocolError::RatchetMismatch`] if the base round's mask is
+    ///   missing.
     pub fn ratchet_round_mask(
         &mut self,
         round: u64,
@@ -334,37 +255,15 @@ impl<F: Field> AsyncClient<F> {
         nonce: u64,
         topology: crate::ratchet::PadTopology,
     ) -> Result<(), ProtocolError> {
-        if self.masks.contains_key(&round) {
+        if self.rounds.contains_key(&round) {
             return Err(ProtocolError::DuplicateMessage(self.id));
         }
-        let Some(base_mask) = self.masks.get(&base_round) else {
-            return Err(ProtocolError::RatchetMismatch);
-        };
-        let peers: Vec<usize> = self
-            .received
-            .keys()
-            .filter(|&&(_, r)| r == base_round)
-            .map(|&(j, _)| j)
-            .collect();
-        let mut mask = base_mask.clone();
-        let mut pad = vec![F::ZERO; mask.len()];
-        for j in topology.partners(&peers, self.id) {
-            if j == self.id {
-                continue;
-            }
-            let Some(sent) = self.sent.get(&(j, base_round)) else {
-                return Err(ProtocolError::RatchetMismatch);
-            };
-            let recv = &self.received[&(j, base_round)];
-            let edge =
-                crate::ratchet::edge_seed(0, base_round, self.pad_epoch, self.id, j, sent, recv);
-            crate::ratchet::add_edge_pad(&mut mask, &mut pad, edge, nonce, self.id, j);
-        }
-        for &j in &peers {
-            let share = self.received[&(j, base_round)].clone();
-            self.received.insert((j, round), share);
-        }
-        self.masks.insert(round, mask);
+        let base = self
+            .rounds
+            .get(&base_round)
+            .ok_or(ProtocolError::RatchetMismatch)?;
+        let client = Client::ratcheted_from(base, round, nonce, topology);
+        self.rounds.insert(round, client);
         Ok(())
     }
 
@@ -374,10 +273,13 @@ impl<F: Field> AsyncClient<F> {
     /// rounds between the base and `keep_from` are evicted, so a long
     /// stable stretch stays `O(1)` rounds of state.
     pub fn discard_before_keeping(&mut self, keep_from: u64, keep: u64) {
-        self.masks.retain(|&r, _| r >= keep_from || r == keep);
-        self.received
-            .retain(|&(_, r), _| r >= keep_from || r == keep);
-        self.sent.retain(|&(_, r), _| r >= keep_from || r == keep);
+        self.retain(|r| r >= keep_from || r == keep);
+    }
+
+    /// Keep the masks and shares of the rounds `keep` admits.
+    fn retain(&mut self, keep: impl Fn(u64) -> bool) {
+        self.rounds.retain(|&r, _| keep(r));
+        self.foreign.retain(|&(r, _), _| keep(r));
     }
 }
 
@@ -404,16 +306,18 @@ impl<F: Field> WeightedAggregate<F> {
 }
 
 /// Server side of asynchronous LightSecAgg with a FedBuff-style buffer.
+///
+/// The weighted buffer and its announcement are its own; an announced
+/// flush recovers as a synchronous [`ServerRound`] in its recovery
+/// phase, open to shares from every user.
 #[derive(Debug, Clone)]
-pub struct AsyncServer<F> {
+pub struct AsyncServer<F: Field> {
     cfg: LsaConfig,
-    code: VandermondeCode<F>,
     staleness: QuantizedStaleness,
     buffer_size: usize,
     buffer: Vec<(BufferEntry, Vec<F>)>,
-    shares: Vec<(usize, Vec<F>)>,
-    /// `(flush round, entries)` once announced.
-    announced: Option<(u64, Vec<BufferEntry>)>,
+    /// The recovery of the announced flush.
+    flush: Option<ServerRound<F>>,
 }
 
 impl<F: Field> AsyncServer<F> {
@@ -433,15 +337,12 @@ impl<F: Field> AsyncServer<F> {
                 "buffer size must be positive".into(),
             ));
         }
-        let code = VandermondeCode::new(cfg.n(), cfg.u())?;
         Ok(Self {
             cfg,
-            code,
             staleness,
             buffer_size,
             buffer: Vec::new(),
-            shares: Vec::new(),
-            announced: None,
+            flush: None,
         })
     }
 
@@ -454,22 +355,20 @@ impl<F: Field> AsyncServer<F> {
     /// * [`ProtocolError::WrongPhase`] if the buffer is already full;
     /// * [`ProtocolError::Coding`] / [`ProtocolError::UnknownUser`] on
     ///   malformed input;
-    /// * [`ProtocolError::StaleUpdate`] if `update.round > now`.
+    /// * [`ProtocolError::StaleUpdate`] if `update.round > now`;
+    /// * [`ProtocolError::DuplicateMessage`] if `update.from` already
+    ///   buffered an update of the same base round: one mask protects
+    ///   one update, and a replay would be counted twice.
     pub fn receive_update<R: Rng + ?Sized>(
         &mut self,
         update: TimestampedUpdate<F>,
         now: u64,
         rng: &mut R,
     ) -> Result<bool, ProtocolError> {
-        if self.announced.is_some() || self.buffer.len() >= self.buffer_size {
+        if self.flush.is_some() || self.buffer.len() >= self.buffer_size {
             return Err(ProtocolError::WrongPhase);
         }
-        if update.group != 0 {
-            return Err(ProtocolError::WrongGroup {
-                got: update.group,
-                expected: 0,
-            });
-        }
+        crate::check_group(update.group, 0)?;
         if update.from >= self.cfg.n() {
             return Err(ProtocolError::UnknownUser(update.from));
         }
@@ -479,13 +378,13 @@ impl<F: Field> AsyncServer<F> {
                 now,
             });
         }
-        if update.payload.len() != self.cfg.padded_len() {
-            return Err(ProtocolError::Coding(
-                lsa_coding::CodingError::LengthMismatch {
-                    expected: self.cfg.padded_len(),
-                    got: update.payload.len(),
-                },
-            ));
+        crate::check_len(self.cfg.padded_len(), update.payload.len())?;
+        if self
+            .buffer
+            .iter()
+            .any(|(e, _)| (e.who, e.round) == (update.from, update.round))
+        {
+            return Err(ProtocolError::DuplicateMessage(update.from));
         }
         let tau = now - update.round;
         let weight = self.staleness.integer_weight(tau, rng);
@@ -536,12 +435,11 @@ impl<F: Field> AsyncServer<F> {
     /// Returns [`ProtocolError::WrongPhase`] if the buffer is empty or a
     /// round is already announced.
     pub fn announce_partial(&mut self, round: u64) -> Result<Vec<BufferEntry>, ProtocolError> {
-        if self.buffer.is_empty() || self.announced.is_some() {
+        if self.buffer.is_empty() || self.flush.is_some() {
             return Err(ProtocolError::WrongPhase);
         }
-        let entries: Vec<BufferEntry> = self.buffer.iter().map(|(e, _)| *e).collect();
-        self.announced = Some((round, entries.clone()));
-        Ok(entries)
+        self.flush = Some(ServerRound::recovering(self.cfg, round)?);
+        Ok(self.buffer.iter().map(|(e, _)| *e).collect())
     }
 
     /// Accept a weighted aggregated share from any user; returns `true`
@@ -549,44 +447,18 @@ impl<F: Field> AsyncServer<F> {
     ///
     /// # Errors
     ///
-    /// Mirrors [`crate::ServerRound::receive_aggregated_share`]; a share
-    /// answering a different flush round is rejected with
-    /// [`ProtocolError::StaleRound`].
+    /// [`ProtocolError::WrongPhase`] before the announcement; otherwise
+    /// those of [`crate::ServerRound::receive_aggregated_share`], where
+    /// every user may answer and a share answering a different flush
+    /// round is [`ProtocolError::StaleRound`].
     pub fn receive_aggregated_share(
         &mut self,
         msg: AggregatedShare<F>,
     ) -> Result<bool, ProtocolError> {
-        let Some((round, _)) = &self.announced else {
-            return Err(ProtocolError::WrongPhase);
-        };
-        if msg.round != *round {
-            return Err(ProtocolError::StaleRound {
-                got: msg.round,
-                current: *round,
-            });
-        }
-        if msg.group != 0 {
-            return Err(ProtocolError::WrongGroup {
-                got: msg.group,
-                expected: 0,
-            });
-        }
-        if msg.from >= self.cfg.n() {
-            return Err(ProtocolError::UnknownUser(msg.from));
-        }
-        if msg.payload.len() != self.cfg.segment_len() {
-            return Err(ProtocolError::Coding(
-                lsa_coding::CodingError::LengthMismatch {
-                    expected: self.cfg.segment_len(),
-                    got: msg.payload.len(),
-                },
-            ));
-        }
-        if self.shares.iter().any(|(from, _)| *from == msg.from) {
-            return Err(ProtocolError::DuplicateMessage(msg.from));
-        }
-        self.shares.push((msg.from, msg.payload));
-        Ok(self.shares.len() >= self.cfg.u())
+        self.flush
+            .as_mut()
+            .ok_or(ProtocolError::WrongPhase)?
+            .receive_aggregated_share(msg)
     }
 
     /// Recover the weighted aggregate `Σ w_i Δ̄_i` by one-shot decoding of
@@ -594,43 +466,29 @@ impl<F: Field> AsyncServer<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`ProtocolError::WrongPhase`] before `U` shares arrive.
+    /// [`ProtocolError::WrongPhase`] before the announcement,
+    /// [`ProtocolError::NotEnoughSurvivors`] before `U` shares arrive,
+    /// or a [`ProtocolError::Coding`] decode failure.
     pub fn recover(&mut self) -> Result<WeightedAggregate<F>, ProtocolError> {
-        let Some((_, entries)) = self.announced.clone() else {
-            return Err(ProtocolError::WrongPhase);
-        };
-        if self.shares.len() < self.cfg.u() {
-            return Err(ProtocolError::NotEnoughSurvivors {
-                got: self.shares.len(),
-                need: self.cfg.u(),
-            });
-        }
+        let flush = self.flush.as_mut().ok_or(ProtocolError::WrongPhase)?;
+        flush.ensure_ready()?;
+        // One-shot decode of Σ w_i z_i^{(t_i)} (coding commutes with the
+        // weighted sum because the weights are scalars), stripped from
         // Σ w_i ~Δ_i over the buffer: one fused widened pass, reduced
         // once per element instead of once per buffered update.
-        let mut weighted_sum = vec![F::ZERO; self.cfg.padded_len()];
-        let weights: Vec<F> = self
-            .buffer
-            .iter()
-            .map(|(entry, _)| F::from_u64(entry.weight))
-            .collect();
-        let payloads: Vec<&[F]> = self.buffer.iter().map(|(_, p)| p.as_slice()).collect();
-        lsa_field::ops::weighted_sum_into(&mut weighted_sum, &weights, &payloads);
-        // One-shot decode of Σ w_i z_i^{(t_i)} (coding commutes with the
-        // weighted sum because the weights are scalars).
-        let agg_segments = self
-            .code
-            .decode_prefix(&self.shares, self.cfg.data_segments())?;
-        let agg_mask = vandermonde::concatenate(&agg_segments);
-        lsa_field::ops::sub_assign(&mut weighted_sum, &agg_mask);
-        weighted_sum.truncate(self.cfg.d());
-
-        let total_weight = entries.iter().map(|e| e.weight).sum();
+        let (entries, payloads): (Vec<BufferEntry>, Vec<&[F]>) =
+            self.buffer.iter().map(|(e, p)| (*e, p.as_slice())).unzip();
+        let weights: Vec<F> = entries.iter().map(|e| F::from_u64(e.weight)).collect();
+        let aggregate = flush.unmask(|_| {
+            let mut weighted_sum = vec![F::ZERO; self.cfg.padded_len()];
+            lsa_field::ops::weighted_sum_into(&mut weighted_sum, &weights, &payloads);
+            weighted_sum
+        })?;
         self.buffer.clear();
-        self.shares.clear();
-        self.announced = None;
+        self.flush = None;
         Ok(WeightedAggregate {
-            aggregate: weighted_sum,
-            total_weight,
+            aggregate,
+            total_weight: entries.iter().map(|e| e.weight).sum(),
             entries,
         })
     }
@@ -798,6 +656,11 @@ mod tests {
         assert!(c.mask_update(2, &[Fp61::ZERO; 6]).is_ok());
     }
 
+    /// Client `c`'s mask of `round`: what it uploads for a zero update.
+    fn mask(c: &AsyncClient<Fp61>, round: u64) -> Vec<Fp61> {
+        c.mask_update(round, &[Fp61::ZERO; 6]).unwrap().payload
+    }
+
     #[test]
     fn ratcheted_masks_cancel_and_refile_shares() {
         // Full exchange at round 0, then ratchet round 1 on every client:
@@ -819,7 +682,7 @@ mod tests {
         let base_sum: Vec<Fp61> = {
             let mut acc = vec![Fp61::ZERO; cfg.padded_len()];
             for c in &clients {
-                lsa_field::ops::add_assign(&mut acc, &c.masks[&0]);
+                lsa_field::ops::add_assign(&mut acc, &mask(c, 0));
             }
             acc
         };
@@ -831,10 +694,10 @@ mod tests {
         }
         let mut ratchet_sum = vec![Fp61::ZERO; cfg.padded_len()];
         for c in &clients {
-            lsa_field::ops::add_assign(&mut ratchet_sum, &c.masks[&1]);
+            lsa_field::ops::add_assign(&mut ratchet_sum, &mask(c, 1));
             // each individual mask is fresh, not the base replayed
-            assert_ne!(c.masks[&1], c.masks[&0]);
-            assert_eq!(c.received[&(0, 1)], c.received[&(0, 0)]);
+            assert_ne!(mask(c, 1), mask(c, 0));
+            assert_eq!(c.rounds[&1].share_from(0), c.rounds[&0].share_from(0));
         }
         assert_eq!(ratchet_sum, base_sum);
         // a second ratchet from the same base coexists with round 1
@@ -844,8 +707,8 @@ mod tests {
             c.ratchet_round_mask(2, 0, 0xbeef, crate::ratchet::PadTopology::Hypercube)
                 .unwrap();
             c.discard_before_keeping(2, 0);
-            assert!(!c.masks.contains_key(&1));
-            assert!(c.masks.contains_key(&0), "base stays resident");
+            assert!(!c.rounds.contains_key(&1));
+            assert!(c.rounds.contains_key(&0), "base stays resident");
             assert_eq!(c.shares_stored(), 8);
         }
         // duplicate and missing-base cases are typed
@@ -857,6 +720,54 @@ mod tests {
             clients[0].ratchet_round_mask(5, 3, 1, crate::ratchet::PadTopology::Clique),
             Err(ProtocolError::RatchetMismatch)
         ));
+    }
+
+    #[test]
+    fn shares_for_unmasked_rounds_are_bounded() {
+        // a peer streaming shares for rounds this client never masks
+        // hits the synchronous client's lookahead budget, typed
+        let cfg = cfg();
+        let cap = crate::FederationClient::<Fp61>::new(0, cfg, StdRng::seed_from_u64(0))
+            .unwrap()
+            .pending_cap();
+        let share = |from, round| TimestampedShare {
+            from,
+            to: 0,
+            group: 0,
+            round,
+            payload: vec![Fp61::ZERO; cfg.segment_len()],
+        };
+        let mut c = AsyncClient::<Fp61>::new(0, cfg).unwrap();
+        for round in 0..cap as u64 {
+            c.receive_share(share(1, round)).unwrap();
+        }
+        assert_eq!(c.shares_stored(), cap);
+        assert!(matches!(
+            c.receive_share(share(1, cap as u64)),
+            Err(ProtocolError::PendingOverflow { client: 0, round, cap: got })
+                if round == cap as u64 && got == cap
+        ));
+        assert_eq!(c.shares_stored(), cap);
+        // a masked round still takes shares, and the early one moved in
+        // with its mask
+        c.generate_round_mask(0, &mut StdRng::seed_from_u64(5))
+            .unwrap();
+        c.receive_share(share(2, 0)).unwrap();
+        assert_eq!(c.rounds[&0].shares_received(), 3);
+        assert_eq!(c.shares_stored(), cap + 2);
+        let entries = [
+            BufferEntry {
+                who: 1,
+                round: 0,
+                weight: 1,
+            },
+            BufferEntry {
+                who: 1,
+                round: 3,
+                weight: 1,
+            },
+        ];
+        assert!(c.aggregated_share_for(3, &entries).is_ok());
     }
 
     #[test]

@@ -108,12 +108,7 @@ impl<F: Field> Client<F> {
         cfg: LsaConfig,
         rng: &mut R,
     ) -> Result<Self, ProtocolError> {
-        if id >= cfg.n() {
-            return Err(ProtocolError::InvalidConfig(format!(
-                "client id {id} out of range for N={}",
-                cfg.n()
-            )));
-        }
+        crate::check_id(id, &cfg)?;
         let code = VandermondeCode::new(cfg.n(), cfg.u())?;
 
         // z_i uniform over the padded length (Algorithm 1 line 4).
@@ -286,35 +281,7 @@ impl<F: Field> Client<F> {
     /// * [`ProtocolError::DuplicateMessage`] if the sender already shared;
     /// * [`ProtocolError::Coding`] for a wrong payload length.
     pub fn receive_share(&mut self, share: CodedMaskShare<F>) -> Result<(), ProtocolError> {
-        if share.group != self.group {
-            return Err(ProtocolError::WrongGroup {
-                got: share.group,
-                expected: self.group,
-            });
-        }
-        if share.round != self.round {
-            return Err(ProtocolError::StaleRound {
-                got: share.round,
-                current: self.round,
-            });
-        }
-        if share.to != self.id {
-            return Err(ProtocolError::MisroutedShare {
-                expected: self.id,
-                got: share.to,
-            });
-        }
-        if share.from >= self.cfg.n() {
-            return Err(ProtocolError::UnknownUser(share.from));
-        }
-        if share.payload.len() != self.cfg.segment_len() {
-            return Err(ProtocolError::Coding(
-                lsa_coding::CodingError::LengthMismatch {
-                    expected: self.cfg.segment_len(),
-                    got: share.payload.len(),
-                },
-            ));
-        }
+        check_share(&self.cfg, self.id, self.group, self.round, &share)?;
         if self.received.contains_key(&share.from) {
             return Err(ProtocolError::DuplicateMessage(share.from));
         }
@@ -328,6 +295,11 @@ impl<F: Field> Client<F> {
         self.received.len()
     }
 
+    /// The coded share `[~z_from]_id` received from `from`, if any.
+    pub(crate) fn share_from(&self, from: usize) -> Option<&[F]> {
+        self.received.get(&from).map(Vec::as_slice)
+    }
+
     /// Mask a quantized local model: `~x_i = x_i + z_i` (Algorithm 1
     /// line 14). The input is zero-padded to the padded length.
     ///
@@ -336,14 +308,7 @@ impl<F: Field> Client<F> {
     /// Returns [`ProtocolError::Coding`] if the model length is not
     /// exactly `cfg.d()`.
     pub fn mask_model(&self, model: &[F]) -> Result<MaskedModel<F>, ProtocolError> {
-        if model.len() != self.cfg.d() {
-            return Err(ProtocolError::Coding(
-                lsa_coding::CodingError::LengthMismatch {
-                    expected: self.cfg.d(),
-                    got: model.len(),
-                },
-            ));
-        }
+        crate::check_len(self.cfg.d(), model.len())?;
         let mut payload = model.to_vec();
         payload.resize(self.cfg.padded_len(), F::ZERO);
         lsa_field::ops::add_assign(&mut payload, &self.mask);
@@ -386,11 +351,10 @@ impl<F: Field> Client<F> {
     ) -> Result<AggregatedShare<F>, ProtocolError> {
         let mut shares: Vec<&[F]> = Vec::with_capacity(survivors.len());
         for &i in survivors {
-            let share = self
-                .received
-                .get(&i)
-                .ok_or(ProtocolError::MissingShares { from: i })?;
-            shares.push(share);
+            shares.push(
+                self.share_from(i)
+                    .ok_or(ProtocolError::MissingShares { from: i })?,
+            );
         }
         // one widened pass over all survivor shares, reduced once per
         // element
@@ -409,6 +373,29 @@ impl<F: Field> Client<F> {
     pub fn evaluation_point(&self) -> F {
         self.code.point(self.id)
     }
+}
+
+/// The checks of [`Client::receive_share`] short of the duplicate
+/// check, for a share addressed to client `id` of `group` in `round`.
+pub(crate) fn check_share<F>(
+    cfg: &LsaConfig,
+    id: usize,
+    group: usize,
+    round: u64,
+    share: &CodedMaskShare<F>,
+) -> Result<(), ProtocolError> {
+    crate::check_group(share.group, group)?;
+    crate::check_round(share.round, round)?;
+    if share.to != id {
+        return Err(ProtocolError::MisroutedShare {
+            expected: id,
+            got: share.to,
+        });
+    }
+    if share.from >= cfg.n() {
+        return Err(ProtocolError::UnknownUser(share.from));
+    }
+    crate::check_len(cfg.segment_len(), share.payload.len())
 }
 
 #[cfg(test)]
@@ -602,6 +589,7 @@ mod tests {
 
     #[test]
     fn cached_edge_seeds_match_the_reference_chain_across_epochs() {
+        use crate::asynchronous::AsyncClient;
         use crate::ratchet::PadTopology;
         for topology in [PadTopology::Clique, PadTopology::Hypercube] {
             let mut rng = StdRng::seed_from_u64(10);
@@ -613,10 +601,25 @@ mod tests {
             for s in shares {
                 clients[s.to].receive_share(s).unwrap();
             }
+            // the buffered client masks round 5 through the same state
+            let mut buffered: Vec<AsyncClient<Fp61>> = (0..5)
+                .map(|i| AsyncClient::new(i, cfg()).unwrap())
+                .collect();
+            let mut shares = Vec::new();
+            for c in buffered.iter_mut() {
+                shares.extend(c.generate_round_mask(5, &mut rng).unwrap());
+            }
+            for s in shares {
+                buffered[s.to].receive_share(s).unwrap();
+            }
+            let mut derived = 6;
             for (epoch_seed, nonces) in [(None, [11, 12]), (Some(0xBEEF), [11, 13])] {
                 if let Some(seed) = epoch_seed {
                     for c in clients.iter_mut() {
                         c.bump_pad_epoch(seed);
+                    }
+                    for c in buffered.iter_mut() {
+                        c.rounds.get_mut(&5).unwrap().bump_pad_epoch(seed);
                     }
                 }
                 // the first nonce fills the cache, the second reads it
@@ -631,10 +634,29 @@ mod tests {
                             c.id
                         );
                     }
+                    for b in buffered.iter_mut() {
+                        b.ratchet_round_mask(derived, 5, nonce, topology).unwrap();
+                        let base = &b.rounds[&5];
+                        assert_eq!(
+                            b.rounds[&derived].mask,
+                            reference_mask(base, nonce, topology),
+                            "buffered, {topology:?}, epoch {}, nonce {nonce}, client {}",
+                            base.pad_epoch,
+                            base.id
+                        );
+                    }
+                    derived += 1;
                 }
                 assert!(
                     clients[0].edge_seeds.iter().any(|s| s.get().is_some()),
                     "the ratchet went through the cache"
+                );
+                assert!(
+                    buffered[0].rounds[&5]
+                        .edge_seeds
+                        .iter()
+                        .any(|s| s.get().is_some()),
+                    "the buffered ratchet went through the cache"
                 );
             }
         }

@@ -60,7 +60,7 @@ use crate::config::LsaConfig;
 use crate::ratchet::{
     ratchet_enabled, CohortFingerprint, Commit, CommitTracker, PadTopology, RatchetBank,
 };
-use crate::server::{ServerPhase, ServerRound};
+use crate::server::ServerRound;
 use crate::session::{AsyncClientSession, AsyncServerSession, Outgoing, Recipient, Session};
 use crate::telemetry::{RoundReport, TrafficMark};
 use crate::transport::Transport;
@@ -230,11 +230,10 @@ pub trait SecureAggregator<F: Field> {
     /// Carry the ratchet *across* a seat permutation derived from
     /// `seed`: keep the retained base masks and shares (recovery is
     /// seat-based and untouched by the permute) but advance every
-    /// member's pad-derivation epoch in lockstep
-    /// ([`crate::ratchet::reseat_epoch`]) and drop any pre-committed
-    /// nonce window. Variants that cannot reseat fall back to
-    /// [`SecureAggregator::clear_ratchet`] — correct, just slower (the
-    /// next round pays a full exchange).
+    /// member's pad-derivation epoch in lockstep ([`crate::ratchet`])
+    /// and drop any pre-committed nonce window. Variants that cannot
+    /// reseat fall back to [`SecureAggregator::clear_ratchet`] —
+    /// correct, just slower (the next round pays a full exchange).
     fn reseat_ratchet(&mut self, seed: u64) {
         let _ = seed;
         self.clear_ratchet();
@@ -345,7 +344,7 @@ impl<F: Field> FederationClient<F> {
     /// instead of unbounded (the memory-amplification vector once
     /// untrusted sockets feed [`Session::handle`]).
     pub fn pending_cap(&self) -> usize {
-        Self::LOOKAHEAD as usize * (2 * self.cfg.n() + 2)
+        pending_cap::<F>(self.cfg.n())
     }
 
     /// Create the persistent client for user `id` with its own entropy
@@ -374,12 +373,7 @@ impl<F: Field> FederationClient<F> {
         cfg: LsaConfig,
         entropy: StdRng,
     ) -> Result<Self, ProtocolError> {
-        if id >= cfg.n() {
-            return Err(ProtocolError::InvalidConfig(format!(
-                "client id {id} out of range for N={}",
-                cfg.n()
-            )));
-        }
+        crate::check_id(id, &cfg)?;
         Ok(Self {
             id,
             cfg,
@@ -514,6 +508,13 @@ impl<F: Field> FederationClient<F> {
     }
 }
 
+/// [`FederationClient::pending_cap`] for a leaf of `n` clients — also
+/// the bound on the shares a buffered client holds for rounds it never
+/// masked ([`crate::asynchronous::AsyncClient::receive_share`]).
+pub(crate) fn pending_cap<F: Field>(n: usize) -> usize {
+    FederationClient::<F>::LOOKAHEAD as usize * (2 * n + 2)
+}
+
 /// Route one envelope to the client state of the round it is stamped
 /// with: the caller has already checked its group and round.
 fn handle_round<F: Field>(
@@ -598,12 +599,7 @@ impl<F: Field> Session<F> for FederationClient<F> {
     fn handle(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
         // cross-group traffic is rejected before any routing or
         // buffering: its local indices mean nothing in this group
-        if envelope.group() != self.group {
-            return Err(ProtocolError::WrongGroup {
-                got: envelope.group(),
-                expected: self.group,
-            });
-        }
+        crate::check_group(envelope.group(), self.group)?;
         // ratchet commits are round-*creating*, not round-routed: the
         // round's client state is derived from the retained base
         if matches!(
@@ -632,14 +628,8 @@ impl<F: Field> Session<F> for FederationClient<F> {
             // a peer raced ahead: hold the envelope for prepare() —
             // within the bounded budget
             None if round > current && round <= current + Self::LOOKAHEAD => {
-                let cap = self.pending_cap();
-                if self.pending.values().map(Vec::len).sum::<usize>() >= cap {
-                    return Err(ProtocolError::PendingOverflow {
-                        client: self.id,
-                        round,
-                        cap,
-                    });
-                }
+                let held = self.pending.values().map(Vec::len).sum();
+                crate::check_pending(self.id, round, held, self.pending_cap())?;
                 self.pending.entry(round).or_default().push(envelope);
                 Ok(Vec::new())
             }
@@ -841,12 +831,7 @@ impl<F: Field> FederationServer<F> {
     /// the round stays open, so the caller can pump more shares.
     pub fn close_round(&mut self) -> Result<Vec<F>, ProtocolError> {
         let current = self.current.as_mut().ok_or(ProtocolError::WrongPhase)?;
-        if current.phase() != ServerPhase::ReadyToRecover {
-            return Err(ProtocolError::NotEnoughSurvivors {
-                got: current.shares_received(),
-                need: self.cfg.u(),
-            });
-        }
+        current.ensure_ready()?;
         let aggregate = current.recover_aggregate()?;
         self.abort_round();
         Ok(aggregate)
@@ -856,12 +841,7 @@ impl<F: Field> FederationServer<F> {
     /// ingress-quota accounting that [`Session::handle`] wraps around
     /// it.
     fn handle_inner(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
-        if envelope.group() != self.group {
-            return Err(ProtocolError::WrongGroup {
-                got: envelope.group(),
-                expected: self.group,
-            });
-        }
+        crate::check_group(envelope.group(), self.group)?;
         if matches!(
             envelope,
             Envelope::RatchetAnnouncement(_) | Envelope::RatchetWindowCommit(_)

@@ -24,22 +24,20 @@
 //!   rejected with [`ProtocolError::StaleRound`];
 //! * [`session`] — the uniform sans-IO [`Session`] interface
 //!   (`handle(Envelope) -> Vec<(Recipient, Envelope)>` +
-//!   `poll_output()`) every endpoint implements, and the buffered-async
-//!   endpoints [`session::AsyncClientSession`] /
-//!   [`session::AsyncServerSession`]; entropy is injected at
-//!   construction, never during message handling. One endpoint per
-//!   side and variant: [`Client`] → [`FederationClient`] →
-//!   [`federation::LeafFederation`] for sync, and
-//!   [`asynchronous::AsyncClient`] → [`session::AsyncClientSession`] →
-//!   `LeafFederation` for buffered-async;
+//!   `poll_output()`) every endpoint implements, the map of the one
+//!   endpoint per side and variant, and the buffered-async endpoints;
+//!   entropy is injected at construction, never during message
+//!   handling;
 //! * [`transport`] — the [`transport::Transport`] trait with
 //!   [`transport::MemTransport`] (ordered in-memory queues) and
 //!   [`transport::SimTransport`] (drives the [`lsa_net`] discrete-event
 //!   network, so protocol bytes pay simulated bandwidth/latency and
 //!   phase timings come from real serialized message sizes);
-//! * [`Client`] / [`ServerRound`] — the underlying per-endpoint protocol
-//!   logic (§4.1);
-//! * [`asynchronous`] — buffered asynchronous variant (§4.2, Appendix F);
+//! * [`Client`] / [`ServerRound`] — the mask core both variants run
+//!   on: mask sampling and MDS encoding, share intake, masking, the
+//!   ratchet derivation, and the one-shot aggregate-mask decode (§4.1);
+//! * [`asynchronous`] — buffered asynchronous variant (§4.2, Appendix F):
+//!   round-stamped masks and staleness weights over that core;
 //! * [`run_sync_round`] / [`run_sync_round_over`] — the single-round
 //!   oracle: one round of [`FederationClient`]s and a
 //!   [`FederationServer`] pumped over a transport (used by tests,
@@ -363,6 +361,52 @@ impl From<std::io::Error> for ProtocolError {
     fn from(e: std::io::Error) -> Self {
         ProtocolError::Io(e.to_string())
     }
+}
+
+/// `Ok` iff a payload of `got` elements has the `expected` length, else
+/// the typed [`ProtocolError::Coding`] length mismatch.
+pub(crate) fn check_len(expected: usize, got: usize) -> Result<(), ProtocolError> {
+    let mismatch = lsa_coding::CodingError::LengthMismatch { expected, got };
+    (got == expected).then_some(()).ok_or(mismatch.into())
+}
+
+/// `Ok` iff a message stamped for group `got` belongs to the endpoint's
+/// group `expected`, else [`ProtocolError::WrongGroup`].
+pub(crate) fn check_group(got: usize, expected: usize) -> Result<(), ProtocolError> {
+    (got == expected)
+        .then_some(())
+        .ok_or(ProtocolError::WrongGroup { got, expected })
+}
+
+/// `Ok` iff a message stamped for round `got` belongs to the round
+/// `current` the endpoint serves, else [`ProtocolError::StaleRound`].
+pub(crate) fn check_round(got: u64, current: u64) -> Result<(), ProtocolError> {
+    (got == current)
+        .then_some(())
+        .ok_or(ProtocolError::StaleRound { got, current })
+}
+
+/// `Ok` iff client `client`, holding `held` envelopes for rounds it has
+/// not joined, may hold one more for `round`, else
+/// [`ProtocolError::PendingOverflow`] at the `cap`.
+pub(crate) fn check_pending(
+    client: usize,
+    round: u64,
+    held: usize,
+    cap: usize,
+) -> Result<(), ProtocolError> {
+    (held < cap)
+        .then_some(())
+        .ok_or(ProtocolError::PendingOverflow { client, round, cap })
+}
+
+/// `Ok` iff `id` names one of `cfg`'s users, else
+/// [`ProtocolError::InvalidConfig`].
+pub(crate) fn check_id(id: usize, cfg: &LsaConfig) -> Result<(), ProtocolError> {
+    let n = cfg.n();
+    (id < n).then_some(()).ok_or_else(|| {
+        ProtocolError::InvalidConfig(format!("client id {id} out of range for N={n}"))
+    })
 }
 
 /// When users drop during a round (the paper's §7.1 worst case drops

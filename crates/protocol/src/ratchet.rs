@@ -569,12 +569,7 @@ mod handshake {
             else {
                 return Err(ProtocolError::RatchetMismatch);
             };
-            if round != commit.round {
-                return Err(ProtocolError::StaleRound {
-                    got: round,
-                    current: commit.round,
-                });
-            }
+            crate::check_round(round, commit.round)?;
             if fingerprint != commit.fingerprint || nonce.is_some_and(|n| n != commit.nonces[0]) {
                 return Err(ProtocolError::RatchetMismatch);
             }

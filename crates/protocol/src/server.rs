@@ -1,4 +1,7 @@
-//! The LightSecAgg server state machine for synchronous FL.
+//! The LightSecAgg server state machine for synchronous FL. Its
+//! recovery — aggregated-share intake and the one-shot decode — also
+//! serves every buffered-asynchronous flush
+//! ([`crate::asynchronous::AsyncServer`]).
 
 use crate::config::LsaConfig;
 use crate::messages::{AggregatedShare, MaskedModel};
@@ -137,29 +140,12 @@ impl<F: Field> ServerRound<F> {
         if self.phase != ServerPhase::CollectingMaskedModels {
             return Err(ProtocolError::WrongPhase);
         }
-        if msg.group != self.group {
-            return Err(ProtocolError::WrongGroup {
-                got: msg.group,
-                expected: self.group,
-            });
-        }
-        if msg.round != self.round {
-            return Err(ProtocolError::StaleRound {
-                got: msg.round,
-                current: self.round,
-            });
-        }
+        crate::check_group(msg.group, self.group)?;
+        crate::check_round(msg.round, self.round)?;
         if msg.from >= self.cfg.n() {
             return Err(ProtocolError::UnknownUser(msg.from));
         }
-        if msg.payload.len() != self.cfg.padded_len() {
-            return Err(ProtocolError::Coding(
-                lsa_coding::CodingError::LengthMismatch {
-                    expected: self.cfg.padded_len(),
-                    got: msg.payload.len(),
-                },
-            ));
-        }
+        crate::check_len(self.cfg.padded_len(), msg.payload.len())?;
         if !self.uploaders.insert(msg.from) {
             return Err(ProtocolError::DuplicateMessage(msg.from));
         }
@@ -198,6 +184,29 @@ impl<F: Field> ServerRound<F> {
         Ok(&self.survivors)
     }
 
+    /// A round whose upload phase is over: it collects aggregated
+    /// shares from every user for [`Self::unmask`] to strip from a masked
+    /// sum kept elsewhere — a buffered flush, whose weighted sum is the
+    /// buffer's ([`crate::asynchronous`]).
+    pub(crate) fn recovering(cfg: LsaConfig, round: u64) -> Result<Self, ProtocolError> {
+        let mut recovery = Self::for_round(cfg, round)?;
+        recovery.survivors = (0..cfg.n()).collect();
+        recovery.phase = ServerPhase::CollectingAggregatedShares;
+        Ok(recovery)
+    }
+
+    /// `Ok` once `U` aggregated shares arrived, else
+    /// [`ProtocolError::NotEnoughSurvivors`].
+    pub(crate) fn ensure_ready(&self) -> Result<(), ProtocolError> {
+        if self.phase == ServerPhase::ReadyToRecover {
+            return Ok(());
+        }
+        Err(ProtocolError::NotEnoughSurvivors {
+            got: self.shares.len(),
+            need: self.cfg.u(),
+        })
+    }
+
     /// The survivor set `U₁` (valid after [`Self::close_upload_phase`]).
     pub fn survivors(&self) -> &[usize] {
         &self.survivors
@@ -222,29 +231,12 @@ impl<F: Field> ServerRound<F> {
         if self.phase == ServerPhase::CollectingMaskedModels {
             return Err(ProtocolError::WrongPhase);
         }
-        if msg.group != self.group {
-            return Err(ProtocolError::WrongGroup {
-                got: msg.group,
-                expected: self.group,
-            });
-        }
-        if msg.round != self.round {
-            return Err(ProtocolError::StaleRound {
-                got: msg.round,
-                current: self.round,
-            });
-        }
+        crate::check_group(msg.group, self.group)?;
+        crate::check_round(msg.round, self.round)?;
         if !self.survivors.contains(&msg.from) {
             return Err(ProtocolError::UnknownUser(msg.from));
         }
-        if msg.payload.len() != self.cfg.segment_len() {
-            return Err(ProtocolError::Coding(
-                lsa_coding::CodingError::LengthMismatch {
-                    expected: self.cfg.segment_len(),
-                    got: msg.payload.len(),
-                },
-            ));
-        }
+        crate::check_len(self.cfg.segment_len(), msg.payload.len())?;
         if self.shares.iter().any(|(from, _)| *from == msg.from) {
             return Err(ProtocolError::DuplicateMessage(msg.from));
         }
@@ -270,23 +262,39 @@ impl<F: Field> ServerRound<F> {
     /// (or after recovery already ran), or a [`ProtocolError::Coding`]
     /// decode failure.
     pub fn recover_aggregate(&mut self) -> Result<Vec<F>, ProtocolError> {
+        // Σ ~x_i over survivors: collapse the widened running sum —
+        // every uploader is a survivor once the phase closes, so no
+        // per-user buffering, and no O(d) clone here.
+        self.unmask(|round| {
+            lsa_field::ops::wide_collapse::<F>(&std::mem::take(&mut round.sum_masked))
+        })
+    }
+
+    /// The one-shot recovery step of both variants: decode the aggregate
+    /// mask from the first `U` shares, subtract it from the masked sum
+    /// `masked_sum` yields — `Σ ~x_i`, or a buffered flush's
+    /// `Σ w_i·~Δ_i` (coding commutes with scalar-weighted addition) —
+    /// and truncate to `d`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::recover_aggregate`].
+    pub(crate) fn unmask(
+        &mut self,
+        masked_sum: impl FnOnce(&mut Self) -> Vec<F>,
+    ) -> Result<Vec<F>, ProtocolError> {
         if self.phase != ServerPhase::ReadyToRecover {
             return Err(ProtocolError::WrongPhase);
         }
         // Decode Σ z_i first: the aggregated shares are evaluations of
         // the aggregated mask polynomial at the senders' points (Eq. 6).
-        // A decode failure must leave the round intact, so the running
-        // sum is consumed only after it succeeds.
+        // A decode failure must leave the round intact, so the masked
+        // sum is taken only after it succeeds.
         let agg_segments = self
             .code
             .decode_prefix(&self.shares, self.cfg.data_segments())?;
         let agg_mask = vandermonde::concatenate(&agg_segments);
-
-        // Σ ~x_i over survivors: collapse the widened running sum —
-        // every uploader is a survivor once the phase closes, so no
-        // per-user buffering, and no O(d) clone here.
-        let wide = std::mem::take(&mut self.sum_masked);
-        let mut sum_masked = lsa_field::ops::wide_collapse::<F>(&wide);
+        let mut sum_masked = masked_sum(self);
         self.phase = ServerPhase::Recovered;
 
         lsa_field::ops::sub_assign(&mut sum_masked, &agg_mask);

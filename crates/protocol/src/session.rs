@@ -13,17 +13,21 @@
 //!
 //! # Endpoints
 //!
-//! Each protocol variant has one client and one server endpoint over
-//! its per-endpoint protocol logic, and both are driven by the one leaf
-//! driver, [`LeafFederation`](crate::federation::LeafFederation):
+//! Each protocol variant has one client and one server endpoint, both
+//! driven by the one leaf driver,
+//! [`LeafFederation`](crate::federation::LeafFederation), and both on
+//! one mask core: every masked round is a [`Client`](crate::Client),
+//! and every recovery decodes as [`ServerRound`](crate::ServerRound)
+//! does.
 //!
-//! * synchronous (§4.1, Algorithm 1): [`Client`](crate::Client) →
+//! * synchronous (§4.1, Algorithm 1): `Client` →
 //!   [`FederationClient`](crate::FederationClient) → `LeafFederation`,
 //!   served by [`FederationServer`](crate::FederationServer) over
-//!   [`ServerRound`](crate::ServerRound);
-//! * buffered-asynchronous (§4.2, Appendix F): [`AsyncClient`] →
-//!   [`AsyncClientSession`] → `LeafFederation`, served by
-//!   [`AsyncServerSession`] over [`AsyncServer`].
+//!   `ServerRound`;
+//! * buffered-asynchronous (§4.2, Appendix F): one `Client` per masked
+//!   round in an [`AsyncClient`] → [`AsyncClientSession`] →
+//!   `LeafFederation`, served by [`AsyncServerSession`] over
+//!   [`AsyncServer`] (a staleness-weighted buffer).
 //!
 //! This module holds the uniform [`Session`] interface, the
 //! [`Recipient`] address and the buffered-async pair; the synchronous
@@ -225,12 +229,6 @@ impl<F: Field> AsyncClientSession<F> {
     /// A server ratchet commit: derive the round's mask from the
     /// retained base round and return the fingerprint-agreement ack.
     fn accept_commit(&mut self, envelope: &Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
-        if envelope.group() != 0 {
-            return Err(ProtocolError::WrongGroup {
-                got: envelope.group(),
-                expected: 0,
-            });
-        }
         let commit = Commit::from_server(envelope)?;
         // a commit replayed from an already-masked round is a replay,
         // not a fresh ratchet
@@ -301,18 +299,14 @@ impl<F: Field> Session<F> for AsyncClientSession<F> {
     }
 
     fn handle(&mut self, envelope: Envelope<F>) -> Result<Vec<Outgoing<F>>, ProtocolError> {
+        // the variant runs flat: cross-group traffic is rejected first
+        crate::check_group(envelope.group(), 0)?;
         match envelope {
             Envelope::TimestampedShare(share) => {
                 self.inner.receive_share(share)?;
                 Ok(Vec::new())
             }
             Envelope::BufferAnnouncement(ann) => {
-                if ann.group != 0 {
-                    return Err(ProtocolError::WrongGroup {
-                        got: ann.group,
-                        expected: 0,
-                    });
-                }
                 let share = self.inner.aggregated_share_for(ann.round, &ann.entries)?;
                 Ok(vec![(Recipient::Server, Envelope::AggregatedShare(share))])
             }
@@ -334,7 +328,7 @@ impl<F: Field> Session<F> for AsyncClientSession<F> {
 /// [`AsyncServerSession::advance_to`]; staleness-weight randomness comes
 /// from the entropy stream injected at construction.
 #[derive(Debug, Clone)]
-pub struct AsyncServerSession<F> {
+pub struct AsyncServerSession<F: Field> {
     inner: AsyncServer<F>,
     entropy: StdRng,
     now: u64,
@@ -627,6 +621,55 @@ mod tests {
             server.close_round(),
             Err(ProtocolError::WrongPhase)
         ));
+    }
+
+    #[test]
+    fn buffered_server_rejects_a_replayed_upload() {
+        // clients 0 and 1 upload all-ones; buffering a replay of client
+        // 0's upload would recover [3; d] with total weight 3
+        let cfg = LsaConfig::new(4, 1, 3, 4).unwrap();
+        let staleness = QuantizedStaleness::new(lsa_quantize::StalenessFn::Constant, 1);
+        let mut server =
+            AsyncServerSession::<Fp61>::new(cfg, 3, staleness, StdRng::seed_from_u64(1)).unwrap();
+        let mut clients: Vec<AsyncClientSession<Fp61>> = (0..4)
+            .map(|id| AsyncClientSession::new(id, cfg, StdRng::seed_from_u64(10 + id as u64)))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let mut shares = Vec::new();
+        for c in clients.iter_mut() {
+            c.generate_round_mask(0).unwrap();
+            shares.extend(std::iter::from_fn(|| c.poll_output()));
+        }
+        for (to, env) in shares {
+            let Recipient::Client(i) = to else { panic!() };
+            clients[i].handle(env).unwrap();
+        }
+        let mut uploads = Vec::new();
+        for c in &mut clients[..2] {
+            c.upload_update(0, &[Fp61::from_u64(1); 4]).unwrap();
+            uploads.push(c.poll_output().unwrap().1);
+        }
+        let replay = uploads[0].clone();
+        for env in uploads {
+            server.handle(env).unwrap();
+        }
+        assert!(matches!(
+            server.handle(replay),
+            Err(ProtocolError::DuplicateMessage(0))
+        ));
+        assert_eq!(server.buffered(), 2);
+
+        server.announce_partial().unwrap();
+        let announcements: Vec<_> = std::iter::from_fn(|| server.poll_output()).collect();
+        for (to, env) in announcements {
+            let Recipient::Client(i) = to else { panic!() };
+            for (_, reply) in clients[i].handle(env).unwrap() {
+                server.handle(reply).unwrap();
+            }
+        }
+        let recovered = server.recover().unwrap();
+        assert_eq!(recovered.aggregate, vec![Fp61::from_u64(2); 4]);
+        assert_eq!(recovered.total_weight, 2);
     }
 
     #[test]

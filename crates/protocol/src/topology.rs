@@ -32,7 +32,7 @@
 //!
 //! Three id spaces coexist and must never be confused:
 //!
-//! * **global ids** `0..N` — what drivers speak ([`RoundPlan`]
+//! * **global ids** `0..N` — what drivers speak ([`crate::RoundPlan`]
 //!   cohorts, `submit`). Stable client identities across rounds.
 //! * **slots** `0..N` — depth-first-contiguous positions in the tree:
 //!   leaf `g` owns slots `starts[g] .. starts[g] + n_g`. The

@@ -56,7 +56,7 @@
 
 use crate::asynchronous::{BufferEntry, TimestampedShare, TimestampedUpdate};
 use crate::messages::{AggregatedShare, CodedMaskShare, MaskedModel};
-use crate::ratchet::{PadTopology, RatchetAnnouncement, RatchetWindowCommit};
+use crate::ratchet::{PadTopology, RatchetAnnouncement, RatchetWindowCommit, MAX_COMMIT_WINDOW};
 use core::fmt;
 use lsa_field::Field;
 
@@ -162,31 +162,33 @@ impl std::error::Error for WireError {}
 const MAX_ELEMS: u64 = 1 << 26;
 
 /// The kind of message an [`Envelope`] carries (used in errors and
-/// dispatch without matching the payload).
+/// dispatch without matching the payload); its discriminant is the
+/// stable wire tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum EnvelopeKind {
     /// Offline coded mask share `[~z_i]_j` (sync).
-    CodedMaskShare,
+    CodedMaskShare = 0x01,
     /// Masked model upload `~x_i` (sync).
-    MaskedModel,
+    MaskedModel = 0x02,
     /// Server's survivor-set announcement `U₁` (sync).
-    SurvivorAnnouncement,
+    SurvivorAnnouncement = 0x03,
     /// Aggregated coded mask for one-shot recovery (both variants).
-    AggregatedShare,
+    AggregatedShare = 0x04,
     /// Round-stamped coded mask share (async).
-    TimestampedShare,
+    TimestampedShare = 0x05,
     /// Round-stamped masked update (async).
-    TimestampedUpdate,
+    TimestampedUpdate = 0x06,
     /// Server's buffered-entry announcement (async).
-    BufferAnnouncement,
+    BufferAnnouncement = 0x07,
     /// Stable-cohort ratchet nonce commit / fingerprint ack (both
     /// variants). Appended to the frozen v2 layout: a new tag extends
     /// the namespace without moving any existing byte.
-    RatchetAnnouncement,
+    RatchetAnnouncement = 0x08,
     /// Batched ratchet nonce commit covering a window of W rounds /
     /// fingerprint ack. Appended to the frozen v2 layout as tag 0x09;
     /// every pre-existing kind's bytes are untouched.
-    RatchetWindowCommit,
+    RatchetWindowCommit = 0x09,
 }
 
 impl EnvelopeKind {
@@ -205,17 +207,7 @@ impl EnvelopeKind {
 
     /// Stable wire tag.
     pub fn tag(self) -> u8 {
-        match self {
-            EnvelopeKind::CodedMaskShare => 0x01,
-            EnvelopeKind::MaskedModel => 0x02,
-            EnvelopeKind::SurvivorAnnouncement => 0x03,
-            EnvelopeKind::AggregatedShare => 0x04,
-            EnvelopeKind::TimestampedShare => 0x05,
-            EnvelopeKind::TimestampedUpdate => 0x06,
-            EnvelopeKind::BufferAnnouncement => 0x07,
-            EnvelopeKind::RatchetAnnouncement => 0x08,
-            EnvelopeKind::RatchetWindowCommit => 0x09,
-        }
+        self as u8
     }
 
     /// Human-readable name.
@@ -317,12 +309,10 @@ impl<F: Field> Envelope<F> {
     /// traffic and reject cross-round replays.
     pub fn round(&self) -> u64 {
         match self {
-            Envelope::CodedMaskShare(m) => m.round,
-            Envelope::MaskedModel(m) => m.round,
+            Envelope::CodedMaskShare(m) | Envelope::TimestampedShare(m) => m.round,
+            Envelope::MaskedModel(m) | Envelope::TimestampedUpdate(m) => m.round,
             Envelope::SurvivorAnnouncement(a) => a.round,
             Envelope::AggregatedShare(m) => m.round,
-            Envelope::TimestampedShare(m) => m.round,
-            Envelope::TimestampedUpdate(m) => m.round,
             Envelope::BufferAnnouncement(a) => a.round,
             Envelope::RatchetAnnouncement(a) => a.round,
             Envelope::RatchetWindowCommit(w) => w.round,
@@ -336,12 +326,10 @@ impl<F: Field> Envelope<F> {
     /// group 0).
     pub fn group(&self) -> usize {
         match self {
-            Envelope::CodedMaskShare(m) => m.group,
-            Envelope::MaskedModel(m) => m.group,
+            Envelope::CodedMaskShare(m) | Envelope::TimestampedShare(m) => m.group,
+            Envelope::MaskedModel(m) | Envelope::TimestampedUpdate(m) => m.group,
             Envelope::SurvivorAnnouncement(a) => a.group,
             Envelope::AggregatedShare(m) => m.group,
-            Envelope::TimestampedShare(m) => m.group,
-            Envelope::TimestampedUpdate(m) => m.group,
             Envelope::BufferAnnouncement(a) => a.group,
             Envelope::RatchetAnnouncement(a) => a.group,
             Envelope::RatchetWindowCommit(w) => w.group,
@@ -357,12 +345,10 @@ impl<F: Field> Envelope<F> {
     /// round's membership.
     pub fn sender(&self) -> Option<usize> {
         match self {
-            Envelope::CodedMaskShare(m) => Some(m.from),
-            Envelope::MaskedModel(m) => Some(m.from),
+            Envelope::CodedMaskShare(m) | Envelope::TimestampedShare(m) => Some(m.from),
+            Envelope::MaskedModel(m) | Envelope::TimestampedUpdate(m) => Some(m.from),
             Envelope::SurvivorAnnouncement(_) | Envelope::BufferAnnouncement(_) => None,
             Envelope::AggregatedShare(m) => Some(m.from),
-            Envelope::TimestampedShare(m) => Some(m.from),
-            Envelope::TimestampedUpdate(m) => Some(m.from),
             Envelope::RatchetAnnouncement(a) => {
                 (a.from != crate::ratchet::RATCHET_FROM_SERVER).then_some(a.from as usize)
             }
@@ -378,12 +364,14 @@ impl<F: Field> Envelope<F> {
         // 1 tag + 4 group id, then the kind-specific header and payload
         1 + 4
             + match self {
-                Envelope::CodedMaskShare(m) => 4 + 4 + 8 + 4 + m.payload.len() * eb,
-                Envelope::MaskedModel(m) => 4 + 8 + 4 + m.payload.len() * eb,
+                Envelope::CodedMaskShare(m) | Envelope::TimestampedShare(m) => {
+                    4 + 4 + 8 + 4 + m.payload.len() * eb
+                }
+                Envelope::MaskedModel(m) | Envelope::TimestampedUpdate(m) => {
+                    4 + 8 + 4 + m.payload.len() * eb
+                }
                 Envelope::SurvivorAnnouncement(a) => 8 + 4 + a.survivors.len() * 4,
                 Envelope::AggregatedShare(m) => 4 + 8 + 4 + m.payload.len() * eb,
-                Envelope::TimestampedShare(m) => 4 + 4 + 8 + 4 + m.payload.len() * eb,
-                Envelope::TimestampedUpdate(m) => 4 + 8 + 4 + m.payload.len() * eb,
                 Envelope::BufferAnnouncement(a) => 8 + 4 + a.entries.len() * (4 + 8 + 8),
                 Envelope::RatchetAnnouncement(_) => 4 + 8 + 8 + 8,
                 Envelope::RatchetWindowCommit(w) => 4 + 8 + 8 + 1 + 4 + w.nonces.len() * 8,
@@ -401,13 +389,13 @@ impl<F: Field> Envelope<F> {
         );
         put_u32(&mut out, self.group() as u32 | GROUP_VERSION_BIT);
         match self {
-            Envelope::CodedMaskShare(m) => {
+            Envelope::CodedMaskShare(m) | Envelope::TimestampedShare(m) => {
                 put_u32(&mut out, m.from as u32);
                 put_u32(&mut out, m.to as u32);
                 put_u64(&mut out, m.round);
                 put_elems(&mut out, &m.payload);
             }
-            Envelope::MaskedModel(m) => {
+            Envelope::MaskedModel(m) | Envelope::TimestampedUpdate(m) => {
                 put_u32(&mut out, m.from as u32);
                 put_u64(&mut out, m.round);
                 put_elems(&mut out, &m.payload);
@@ -420,17 +408,6 @@ impl<F: Field> Envelope<F> {
                 }
             }
             Envelope::AggregatedShare(m) => {
-                put_u32(&mut out, m.from as u32);
-                put_u64(&mut out, m.round);
-                put_elems(&mut out, &m.payload);
-            }
-            Envelope::TimestampedShare(m) => {
-                put_u32(&mut out, m.from as u32);
-                put_u32(&mut out, m.to as u32);
-                put_u64(&mut out, m.round);
-                put_elems(&mut out, &m.payload);
-            }
-            Envelope::TimestampedUpdate(m) => {
                 put_u32(&mut out, m.from as u32);
                 put_u64(&mut out, m.round);
                 put_elems(&mut out, &m.payload);
@@ -483,22 +460,36 @@ impl<F: Field> Envelope<F> {
         }
         let group = (raw_group & MAX_GROUP_ID) as usize;
         let env = match tag {
-            0x01 => Envelope::CodedMaskShare(CodedMaskShare {
-                from: r.u32()? as usize,
-                to: r.u32()? as usize,
-                group,
-                round: r.u64()?,
-                payload: r.elems::<F>()?,
-            }),
-            0x02 => Envelope::MaskedModel(MaskedModel {
-                from: r.u32()? as usize,
-                group,
-                round: r.u64()?,
-                payload: r.elems::<F>()?,
-            }),
+            0x01 | 0x05 => {
+                let share = CodedMaskShare {
+                    from: r.u32()? as usize,
+                    to: r.u32()? as usize,
+                    group,
+                    round: r.u64()?,
+                    payload: r.elems::<F>()?,
+                };
+                if tag == 0x01 {
+                    Envelope::CodedMaskShare(share)
+                } else {
+                    Envelope::TimestampedShare(share)
+                }
+            }
+            0x02 | 0x06 => {
+                let model = MaskedModel {
+                    from: r.u32()? as usize,
+                    group,
+                    round: r.u64()?,
+                    payload: r.elems::<F>()?,
+                };
+                if tag == 0x02 {
+                    Envelope::MaskedModel(model)
+                } else {
+                    Envelope::TimestampedUpdate(model)
+                }
+            }
             0x03 => {
                 let round = r.u64()?;
-                let len = r.len_prefix(4)?;
+                let len = r.len_prefix(4, MAX_ELEMS)?;
                 let mut survivors = Vec::with_capacity(len);
                 for _ in 0..len {
                     survivors.push(r.u32()? as usize);
@@ -515,22 +506,9 @@ impl<F: Field> Envelope<F> {
                 round: r.u64()?,
                 payload: r.elems::<F>()?,
             }),
-            0x05 => Envelope::TimestampedShare(TimestampedShare {
-                from: r.u32()? as usize,
-                to: r.u32()? as usize,
-                group,
-                round: r.u64()?,
-                payload: r.elems::<F>()?,
-            }),
-            0x06 => Envelope::TimestampedUpdate(TimestampedUpdate {
-                from: r.u32()? as usize,
-                group,
-                round: r.u64()?,
-                payload: r.elems::<F>()?,
-            }),
             0x07 => {
                 let round = r.u64()?;
-                let len = r.len_prefix(4 + 8 + 8)?;
+                let len = r.len_prefix(4 + 8 + 8, MAX_ELEMS)?;
                 let mut entries = Vec::with_capacity(len);
                 for _ in 0..len {
                     entries.push(BufferEntry {
@@ -559,7 +537,9 @@ impl<F: Field> Envelope<F> {
                 let topo = r.u8()?;
                 let topology =
                     PadTopology::from_tag(topo).ok_or(WireError::InvalidTopology(topo))?;
-                let len = r.len_prefix(8)?;
+                // a commit never covers more rounds than the window knob
+                // allows, and each banked nonce costs the client memory
+                let len = r.len_prefix(8, MAX_COMMIT_WINDOW as u64)?;
                 let mut nonces = Vec::with_capacity(len);
                 for _ in 0..len {
                     nonces.push(r.u64()?);
@@ -652,12 +632,12 @@ impl Reader<'_> {
     }
 
     /// Read a u32 length prefix for items of `item_bytes` each,
-    /// rejecting counts that exceed the sanity limit — or the remaining
-    /// buffer — *before* any allocation, so a tiny corrupt message can
-    /// never trigger a huge `Vec::with_capacity`.
-    fn len_prefix(&mut self, item_bytes: usize) -> Result<usize, WireError> {
+    /// rejecting counts above `max` — or beyond the remaining buffer —
+    /// *before* any allocation, so a tiny corrupt message can never
+    /// trigger a huge `Vec::with_capacity`.
+    fn len_prefix(&mut self, item_bytes: usize, max: u64) -> Result<usize, WireError> {
         let len = self.u32()? as u64;
-        if len > MAX_ELEMS {
+        if len > max {
             return Err(WireError::ImplausibleLength { claimed: len });
         }
         let needed = len as usize * item_bytes;
@@ -673,7 +653,7 @@ impl Reader<'_> {
 
     fn elems<F: Field>(&mut self) -> Result<Vec<F>, WireError> {
         let eb = Envelope::<F>::elem_bytes();
-        let len = self.len_prefix(eb)?;
+        let len = self.len_prefix(eb, MAX_ELEMS)?;
         let mut out = Vec::with_capacity(len);
         for index in 0..len {
             let raw = self.take(eb)?;
@@ -970,6 +950,30 @@ mod tests {
             Envelope::<Fp61>::from_bytes(&bad),
             Err(WireError::InvalidTopology(0x7F))
         ));
+    }
+
+    #[test]
+    fn window_commit_nonce_count_is_bounded_at_decode() {
+        // a client banks every nonce of a commit, so the decoder holds
+        // the count to what the window knob can produce
+        let commit = |len: u64| {
+            Envelope::<Fp61>::RatchetWindowCommit(RatchetWindowCommit {
+                from: crate::ratchet::RATCHET_FROM_SERVER,
+                group: 0,
+                round: 1,
+                fingerprint: 2,
+                topology: PadTopology::Hypercube,
+                nonces: (0..len).collect(),
+            })
+        };
+        let widest = commit(MAX_COMMIT_WINDOW as u64);
+        assert_eq!(Envelope::from_bytes(&widest.to_bytes()), Ok(widest));
+        for claimed in [MAX_COMMIT_WINDOW as u64 + 1, 1 << 16] {
+            assert_eq!(
+                Envelope::<Fp61>::from_bytes(&commit(claimed).to_bytes()),
+                Err(WireError::ImplausibleLength { claimed })
+            );
+        }
     }
 
     #[test]
